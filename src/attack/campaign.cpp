@@ -235,7 +235,6 @@ CampaignReport TemplatedCampaign::run_fork(const CampaignConfig& config) {
   auto analysis = fault::make_analysis(config.analysis, cipher, fault_model_);
   Rng rng(plaintext_seed_);
   const std::size_t block = cipher.block_size();
-  const std::size_t table_size = cipher.table_size();
   std::vector<std::uint8_t> pt(block);
   std::vector<std::uint8_t> ct(block);
 
@@ -247,8 +246,8 @@ CampaignReport TemplatedCampaign::run_fork(const CampaignConfig& config) {
     analysis->set_known_pair(pt, ct);
   }
 
-  std::uint32_t check_interval = config.analysis_check_interval;
-  if (check_interval == 0) check_interval = table_size >= 256 ? 256 : 25;
+  const std::uint32_t check_interval =
+      config.check_interval(cipher.table_size());
 
   if (config.batched_harvest) {
     // Chunked fill/encrypt/absorb with the same check cadence as the

@@ -51,6 +51,11 @@ struct CampaignConfig {
   /// Harvested ciphertexts between key-recovery attempts (0 = a cadence
   /// matched to the cipher's table alphabet: 256 for AES, 25 for PRESENT).
   std::uint32_t analysis_check_interval = 0;
+  /// analysis_check_interval with 0 resolved for a `table_size` alphabet.
+  std::uint32_t check_interval(std::size_t table_size) const noexcept {
+    if (analysis_check_interval != 0) return analysis_check_interval;
+    return table_size >= 256 ? 256 : 25;
+  }
   /// Harvest through the batched fast path (snapshot-validated
   /// VictimCipherService::encrypt_batch + Analysis::add_ciphertext_batch,
   /// chunked at the check cadence). Byte-identical reports either way —

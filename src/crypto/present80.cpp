@@ -27,15 +27,6 @@ inline std::uint64_t sbox_layer(std::uint64_t s,
   return out;
 }
 
-inline std::uint64_t inv_sbox_layer(std::uint64_t s) noexcept {
-  std::uint64_t out = 0;
-  for (int i = 0; i < 16; ++i) {
-    const std::uint64_t nib = (s >> (4 * i)) & 0xF;
-    out |= static_cast<std::uint64_t>(kInvSbox[nib]) << (4 * i);
-  }
-  return out;
-}
-
 }  // namespace
 
 const std::array<std::uint8_t, 16>& Present80::sbox() noexcept { return kSbox; }
@@ -43,21 +34,16 @@ const std::array<std::uint8_t, 16>& Present80::inv_sbox() noexcept {
   return kInvSbox;
 }
 
+// pLayer sends bit 4j+k to 16k+j (the spec's 16i mod 63, with P(63) = 63).
 std::uint64_t Present80::p_layer(std::uint64_t s) noexcept {
   std::uint64_t out = 0;
-  for (int i = 0; i < 64; ++i) {
-    const int to = (i == 63) ? 63 : (16 * i) % 63;
-    out |= ((s >> i) & 1ULL) << to;
-  }
+  for (int i = 0; i < 64; ++i) out |= ((s >> i) & 1) << (16 * (i % 4) + i / 4);
   return out;
 }
 
 std::uint64_t Present80::p_layer_inv(std::uint64_t s) noexcept {
   std::uint64_t out = 0;
-  for (int i = 0; i < 64; ++i) {
-    const int to = (i == 63) ? 63 : (16 * i) % 63;
-    out |= ((s >> to) & 1ULL) << i;
-  }
+  for (int i = 0; i < 64; ++i) out |= ((s >> (16 * (i % 4) + i / 4)) & 1) << i;
   return out;
 }
 
@@ -81,6 +67,30 @@ Present80::RoundKeys Present80::expand_key(const Key& key) noexcept {
     reg ^= static_cast<__uint128_t>(round) << 15;
   }
   return rk;
+}
+
+Present80::Key Present80::invert_key_schedule(std::uint64_t k32,
+                                              std::uint16_t low,
+                                              RoundKeys& rk) noexcept {
+  // The register as hi = bits 79..16 (the round key) and lo = bits 15..0.
+  std::uint64_t hi = k32;
+  std::uint64_t lo = low;
+  for (std::uint32_t round = 31; round >= 1; --round) {
+    rk[round] = hi;
+    // Undo expand_key's steps 3, 2 and 1 (rotating left by 80 - 61 = 19).
+    hi ^= round >> 1;
+    lo ^= (round & 1) << 15;
+    hi ^= ((hi >> 60) ^ kInvSbox[hi >> 60]) << 60;
+    const std::uint64_t rotated = (hi << 19) | (lo << 3) | (hi >> 61);
+    lo = (hi >> 45) & 0xFFFF;
+    hi = rotated;
+  }
+  rk[0] = hi;
+  Key key{};
+  for (std::size_t i = 0; i < 10; ++i)
+    key[i] = static_cast<std::uint8_t>(i < 8 ? hi >> (56 - 8 * i)
+                                             : lo >> (72 - 8 * i));
+  return key;
 }
 
 std::uint64_t Present80::encrypt_with_sbox(
@@ -134,7 +144,7 @@ std::uint64_t Present80::decrypt(Block ciphertext,
   std::uint64_t state = ciphertext ^ rk[31];
   for (std::size_t round = 31; round-- > 0;) {
     state = p_layer_inv(state);
-    state = inv_sbox_layer(state);
+    state = sbox_layer(state, kInvSbox);
     state ^= rk[round];
   }
   return state;

@@ -29,6 +29,11 @@ class Present80 {
 
   static RoundKeys expand_key(const Key& key) noexcept;
 
+  /// expand_key run backwards from the round-32 register (k32 << 16) | low:
+  /// fills all of `rk` and returns the key, so expand_key(result) == rk.
+  static Key invert_key_schedule(std::uint64_t k32, std::uint16_t low,
+                                 RoundKeys& rk) noexcept;
+
   static Block encrypt(Block plaintext, const RoundKeys& rk) noexcept;
   static Block decrypt(Block ciphertext, const RoundKeys& rk) noexcept;
 

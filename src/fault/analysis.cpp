@@ -123,9 +123,8 @@ class PresentPfaAnalysis final : public Analysis {
 
   void set_known_pair(std::span<const std::uint8_t> pt,
                       std::span<const std::uint8_t> ct) override {
-    known_pt_ = to_present_block(pt);
-    known_ct_ = to_present_block(ct);
-    have_pair_ = true;
+    pair_.emplace(to_present_block(pt), to_present_block(ct));
+    failed_k32_.reset();
   }
 
   void add_ciphertext(std::span<const std::uint8_t> ct) override {
@@ -145,11 +144,15 @@ class PresentPfaAnalysis final : public Analysis {
     return pfa_.remaining_keyspace_log2(fault_.v) + 16.0;
   }
   std::optional<std::vector<std::uint8_t>> recover_key() override {
-    if (!have_pair_ || !pfa_.recover_k32(fault_.v)) return std::nullopt;
+    const auto k32 = pfa_.recover_k32(fault_.v);
+    if (!pair_ || !k32 || k32 == failed_k32_) return std::nullopt;
     const auto result = pfa_.recover_master_key(
-        fault_.v, known_pt_, known_ct_,
+        fault_.v, pair_->first, pair_->second,
         std::span<const std::uint8_t, 16>(faulty_table_));
-    if (!result) return std::nullopt;
+    if (!result) {
+      failed_k32_ = k32;
+      return std::nullopt;
+    }
     residual_ = result->search_tried;
     return std::vector<std::uint8_t>(result->key.begin(), result->key.end());
   }
@@ -157,16 +160,18 @@ class PresentPfaAnalysis final : public Analysis {
   void reset() override {
     pfa_.reset();
     residual_ = 0;
+    failed_k32_.reset();
   }
 
  private:
   FaultModel fault_;
   std::array<std::uint8_t, 16> faulty_table_{};
   PresentPfa pfa_;
-  std::uint64_t known_pt_ = 0;
-  std::uint64_t known_ct_ = 0;
-  bool have_pair_ = false;
+  std::optional<std::pair<std::uint64_t, std::uint64_t>> pair_;  ///< (pt, ct)
   std::uint32_t residual_ = 0;
+  // The last K32 whose search failed. The search is a pure function of
+  // (K32, pair, table), so recover_key() does not rerun it for that K32.
+  std::optional<std::uint64_t> failed_k32_;
 };
 
 class AesDfaAnalysis final : public Analysis {

@@ -116,7 +116,6 @@ void DebugSession::do_harvest(attack::CampaignReport& report) {
                                        campaign_->fault_model());
   Rng rng(campaign_->plaintext_seed());
   const std::size_t block = cipher.block_size();
-  const std::size_t table_size = cipher.table_size();
   std::vector<std::uint8_t> pt(block);
   std::vector<std::uint8_t> ct(block);
   if (analysis->wants_known_pair()) {
@@ -124,8 +123,8 @@ void DebugSession::do_harvest(attack::CampaignReport& report) {
     victim.encrypt(pt, ct);
     analysis->set_known_pair(pt, ct);
   }
-  std::uint32_t check_interval = campaign_cfg_.analysis_check_interval;
-  if (check_interval == 0) check_interval = table_size >= 256 ? 256 : 25;
+  const std::uint32_t check_interval =
+      campaign_cfg_.check_interval(cipher.table_size());
   // The per-call harvest loop (byte-identical to the batched fast path;
   // single stepping has no batching to amortize).
   for (std::uint32_t i = 0; i < campaign_cfg_.ciphertext_budget; ++i) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "support/rng.hpp"
 
 namespace explframe::crypto {
@@ -147,6 +149,40 @@ TEST(Present80, SpTablesIgnoreDeadHighNibbles) {
   const auto sp_clean = Present80::derive_sp_tables(
       std::span<const std::uint8_t, 16>(Present80::sbox()));
   EXPECT_EQ(sp_dirty, sp_clean);
+}
+
+// The low 16 bits of the key register after the forward schedule reaches
+// round 32: the part of the register that K32 = rk[31] does not expose.
+std::uint16_t round32_low_bits(const Key& key) {
+  __uint128_t reg = 0;
+  for (const std::uint8_t b : key) reg = (reg << 8) | b;
+  const __uint128_t mask80 = (static_cast<__uint128_t>(1) << 80) - 1;
+  for (std::uint32_t round = 1; round < 32; ++round) {
+    reg = ((reg << 61) | (reg >> 19)) & mask80;
+    const auto top = static_cast<std::uint8_t>((reg >> 76) & 0xF);
+    reg = (reg & ~(static_cast<__uint128_t>(0xF) << 76)) |
+          (static_cast<__uint128_t>(Present80::sbox()[top]) << 76);
+    reg ^= static_cast<__uint128_t>(round) << 15;
+  }
+  return static_cast<std::uint16_t>(reg);
+}
+
+TEST(Present80, InvertKeyScheduleRoundTripsExpandKey) {
+  // Walking the register back from round 32 must reproduce every round
+  // key expand_key derives forwards, and land on the master key.
+  Rng rng(78);
+  std::vector<Key> keys(1000);
+  for (auto& key : keys) rng.fill_bytes(key);
+  keys[0].fill(0x00);
+  keys[1].fill(0xFF);
+  for (const Key& key : keys) {
+    const auto forward = Present80::expand_key(key);
+    Present80::RoundKeys backward{};
+    const Key master = Present80::invert_key_schedule(
+        forward[31], round32_low_bits(key), backward);
+    ASSERT_EQ(backward, forward);
+    ASSERT_EQ(master, key);
+  }
 }
 
 }  // namespace
