@@ -6,13 +6,19 @@
 
 namespace explframe::dram {
 
+const char* Geometry::capacity_error(std::uint64_t bytes) noexcept {
+  if ((bytes & (bytes - 1)) != 0) return "DRAM capacity must be a power of two";
+  const Geometry g;
+  if (bytes / (g.total_banks() * g.row_bytes) < 64)
+    return "capacity too small for geometry (fewer than 64 rows)";
+  return nullptr;
+}
+
 Geometry Geometry::with_capacity(std::uint64_t bytes) {
+  const char* error = capacity_error(bytes);
+  EXPLFRAME_CHECK_MSG(error == nullptr, error);
   Geometry g;
-  EXPLFRAME_CHECK_MSG((bytes & (bytes - 1)) == 0,
-                      "DRAM capacity must be a power of two");
-  const std::uint64_t rows = bytes / (static_cast<std::uint64_t>(g.channels) *
-                                      g.ranks * g.banks * g.row_bytes);
-  EXPLFRAME_CHECK_MSG(rows >= 64, "capacity too small for geometry");
+  const std::uint64_t rows = bytes / (g.total_banks() * g.row_bytes);
   // Keep rows-per-bank <= 64Ki (DDR3 row-address width); add ranks beyond.
   std::uint64_t rpb = rows;
   std::uint32_t ranks = 1;

@@ -34,8 +34,12 @@ struct Geometry {
     return static_cast<std::uint64_t>(channels) * ranks * banks;
   }
 
-  /// A geometry of the given capacity (power-of-two bytes), single channel.
+  /// A geometry of the given capacity (power-of-two bytes), single channel
+  /// (CHECK: capacity_error(bytes) is null).
   static Geometry with_capacity(std::uint64_t bytes);
+  /// Why with_capacity() would reject `bytes` — not a power of two, or
+  /// fewer than 64 rows — or nullptr when it accepts it.
+  static const char* capacity_error(std::uint64_t bytes) noexcept;
 
   std::string describe() const;
 };

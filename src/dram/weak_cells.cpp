@@ -1,8 +1,10 @@
 #include "dram/weak_cells.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
+#include <limits>
 
 #include "support/check.hpp"
 #include "support/units.hpp"
@@ -52,6 +54,82 @@ void decode_couple(std::uint64_t packed, float& above, float& below) {
   const std::uint64_t mantissa = packed & kMantissaMask;
   above = decode_side((packed >> 25) & 3, mantissa);
   below = decode_side((packed >> 23) & 3, mantissa);
+}
+
+using StagedCell = std::pair<std::uint64_t, WeakCell>;
+
+// A staged cell packed into 16 bytes, half a (row, WeakCell) pair, so the
+// sort moves half the bytes. `key` holds row (40 bits) | threshold (19) |
+// polarity (1); `cell` holds col (28) | bit (3) | coupling code (27), and
+// its low 31 bits are the (col, bit) identity the dedup compares.
+struct SortRecord {
+  std::uint64_t key;
+  std::uint64_t cell;
+};
+constexpr unsigned kThresholdShift = WeakCellModel::kRowBits;
+constexpr unsigned kPolarityShift =
+    kThresholdShift + WeakCellModel::kThresholdBits;
+constexpr unsigned kBitShift = WeakCellModel::kColBits;
+constexpr unsigned kCoupleShift = kBitShift + WeakCellModel::kBitBits;
+
+constexpr std::uint64_t low_bits(unsigned bits) { return (1ull << bits) - 1; }
+constexpr std::uint64_t kRowMask = low_bits(WeakCellModel::kRowBits);
+constexpr std::uint64_t kColBitMask = low_bits(kCoupleShift);
+
+// Packs one staged cell, CHECKing every field against its width first so
+// that nothing is truncated on the way into the record.
+SortRecord pack(std::uint64_t row, const WeakCell& cell,
+                std::uint64_t total_rows) {
+  EXPLFRAME_CHECK_MSG(row < total_rows, "weak-cell row outside the geometry");
+  EXPLFRAME_CHECK_MSG(cell.col <= low_bits(WeakCellModel::kColBits) &&
+                          cell.bit <= low_bits(WeakCellModel::kBitBits) &&
+                          cell.threshold <=
+                              low_bits(WeakCellModel::kThresholdBits),
+                      "weak-cell field exceeds field width");
+  return {row | std::uint64_t{cell.threshold} << kThresholdShift |
+              std::uint64_t{cell.true_cell} << kPolarityShift,
+          cell.col | std::uint64_t{cell.bit} << kBitShift |
+              encode_couple(cell.couple_above, cell.couple_below)
+                  << kCoupleShift};
+}
+
+// Packs `staged` and sorts it by row with a stable LSD radix sort:
+// kDigitBits per pass, and only as many passes as `total_rows` needs (2 at
+// 16 GiB, at most 4 in the 40-bit row space). Each pass moves the records
+// themselves: sorting an index and gathering through it was slower,
+// because the random gathers serialise their cache misses.
+constexpr unsigned kDigitBits = 11;
+constexpr std::size_t kRadix = std::size_t{1} << kDigitBits;
+
+std::vector<SortRecord> sorted_by_row(std::vector<StagedCell> staged,
+                                      std::uint64_t total_rows) {
+  const unsigned key_bits =
+      total_rows > 1 ? static_cast<unsigned>(std::bit_width(total_rows - 1))
+                     : 0;
+  const unsigned passes = (key_bits + kDigitBits - 1) / kDigitBits;
+
+  // The packing pass also fills every radix pass's digit histogram.
+  std::vector<SortRecord> records;
+  records.reserve(staged.size());
+  std::vector<std::array<std::size_t, kRadix>> offsets(passes);
+  for (const auto& [row, cell] : staged) {
+    records.push_back(pack(row, cell, total_rows));
+    for (unsigned p = 0; p < passes; ++p)
+      ++offsets[p][(row >> (p * kDigitBits)) & (kRadix - 1)];
+  }
+  staged = std::vector<StagedCell>();  // freed before the scratch is taken
+
+  std::vector<SortRecord> scratch(records.size());
+  for (unsigned p = 0; p < passes; ++p) {
+    std::size_t next = 0;
+    for (std::size_t& slot : offsets[p]) next += std::exchange(slot, next);
+    const unsigned shift = p * kDigitBits;
+    for (const SortRecord& r : records) {
+      scratch[offsets[p][((r.key & kRowMask) >> shift) & (kRadix - 1)]++] = r;
+    }
+    records.swap(scratch);
+  }
+  return records;
 }
 
 }  // namespace
@@ -129,58 +207,63 @@ WeakCellModel::WeakCellModel(
   build(geometry, {cells.begin(), cells.end()});
 }
 
-void WeakCellModel::build(
-    const Geometry& geometry,
-    std::vector<std::pair<std::uint64_t, WeakCell>> staged) {
-  EXPLFRAME_CHECK_MSG(geometry.total_rows() <= (1ull << kRowBits),
+void WeakCellModel::build(const Geometry& geometry,
+                          std::vector<StagedCell> staged) {
+  const std::uint64_t total_rows = geometry.total_rows();
+  EXPLFRAME_CHECK_MSG(total_rows <= (1ull << kRowBits),
                       "geometry exceeds the 40-bit flat-row space");
   // Canonical arena order: ascending row, presentation order within a row
   // (matching the seed layout's per-row insertion order, which the golden
   // flip logs depend on).
-  std::stable_sort(staged.begin(), staged.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<SortRecord> sorted =
+      sorted_by_row(std::move(staged), total_rows);
 
   // Keep the first occurrence of each (col, bit) within a row — identical
-  // to the seed layout's skip-at-insert dedup.
-  std::vector<std::pair<std::uint64_t, WeakCell>> kept;
-  kept.reserve(staged.size());
-  std::size_t run_begin = 0;  // first kept entry of the current row
-  for (const auto& [row, cell] : staged) {
-    if (!kept.empty() && kept.back().first != row) run_begin = kept.size();
-    bool dup = false;
-    for (std::size_t j = run_begin; j < kept.size(); ++j) {
-      if (kept[j].second.col == cell.col && kept[j].second.bit == cell.bit) {
-        dup = true;
-        break;
-      }
+  // to the seed layout's skip-at-insert dedup — compacting in place and
+  // counting rows, so the arena below is reserved at its exact final size.
+  std::size_t kept = 0;
+  std::size_t row_count = 0;
+  std::size_t run_begin = 0;  // first kept record of the current row
+  for (const SortRecord& r : sorted) {
+    if (kept == 0 || ((sorted[run_begin].key ^ r.key) & kRowMask) != 0) {
+      run_begin = kept;
+      ++row_count;
     }
-    if (!dup) kept.emplace_back(row, cell);
+    const bool dup = std::any_of(
+        sorted.begin() + static_cast<std::ptrdiff_t>(run_begin),
+        sorted.begin() + static_cast<std::ptrdiff_t>(kept),
+        [&](const SortRecord& k) {
+          return ((k.cell ^ r.cell) & kColBitMask) == 0;
+        });
+    if (!dup) sorted[kept++] = r;
   }
+  EXPLFRAME_CHECK_MSG(kept <= std::numeric_limits<std::uint32_t>::max(),
+                      "weak-cell count exceeds 32-bit arena ordinals");
 
   std::vector<std::uint64_t> rows;
-  col_.reserve(kept.size());
-  bit_.reserve(kept.size());
-  threshold_.reserve(kept.size());
-  polarity_.reserve(kept.size());
-  couple_.reserve(kept.size());
-  for (const auto& [row, cell] : kept) {
+  rows.reserve(row_count);
+  row_start_.reserve(row_count + 1);
+  col_.reserve(kept);
+  bit_.reserve(kept);
+  threshold_.reserve(kept);
+  polarity_.reserve(kept);
+  couple_.reserve(kept);
+  for (std::size_t i = 0; i < kept; ++i) {
+    const auto [key, cell] = sorted[i];
+    const std::uint64_t row = key & kRowMask;
     if (rows.empty() || rows.back() != row) {
       rows.push_back(row);
-      row_start_.push_back(static_cast<std::uint32_t>(col_.size()));
+      row_start_.push_back(static_cast<std::uint32_t>(i));
     }
-    col_.push_back(cell.col);
-    bit_.push_back(cell.bit);
-    threshold_.push_back(cell.threshold);
-    polarity_.push_back(cell.true_cell ? 1 : 0);
-    couple_.push_back(encode_couple(cell.couple_above, cell.couple_below));
+    col_.push_back(cell & low_bits(kColBits));
+    bit_.push_back((cell >> kBitShift) & low_bits(kBitBits));
+    threshold_.push_back((key >> kThresholdShift) & low_bits(kThresholdBits));
+    polarity_.push_back(key >> kPolarityShift);
+    couple_.push_back(cell >> kCoupleShift);
   }
-  row_start_.push_back(static_cast<std::uint32_t>(col_.size()));
-  // At realistic densities (~1 cell per vulnerable row) the geometric
-  // push_back growth of row_start_ would otherwise be a sizeable slice of
-  // the whole arena; the build is one-shot, so trim it.
-  row_start_.shrink_to_fit();
-  rows_ = RowIndex(rows, geometry.total_rows());
-  total_ = kept.size();
+  row_start_.push_back(static_cast<std::uint32_t>(kept));
+  rows_ = RowIndex(rows, total_rows);
+  total_ = kept;
 }
 
 WeakCellSpan WeakCellModel::cells_in_row(std::uint64_t flat_row) const {

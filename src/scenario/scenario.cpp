@@ -1,5 +1,8 @@
 #include "scenario/scenario.hpp"
 
+#include <limits>
+
+#include "dram/geometry.hpp"
 #include "support/units.hpp"
 
 namespace explframe::scenario {
@@ -224,7 +227,13 @@ std::optional<Scenario> Scenario::from_scn(const std::string& text,
     return fail("key 'name': missing or not a valid identifier");
   if (s.title.empty()) return fail("key 'title': missing");
   if (s.trials == 0) return fail("key 'trials': must be >= 1");
-  if (s.memory_mib == 0) return fail("key 'memory_mib': must be >= 1");
+  if (s.memory_mib > std::numeric_limits<std::uint64_t>::max() / kMiB)
+    return fail("key 'memory_mib': " + std::to_string(s.memory_mib) +
+                " MiB overflows a 64-bit byte count");
+  if (const char* error =
+          dram::Geometry::capacity_error(s.memory_mib * kMiB))
+    return fail("key 'memory_mib': " + std::to_string(s.memory_mib) +
+                " MiB: " + error);
   if (s.buffer_mib == 0 || s.buffer_mib >= s.memory_mib)
     return fail("key 'buffer_mib': must be in [1, memory_mib)");
   if (s.analysis == fault::AnalysisKind::kDfa)

@@ -40,15 +40,6 @@ void PackedVector::set(std::size_t i, std::uint64_t value) {
   }
 }
 
-void PackedVector::push_back(std::uint64_t value) {
-  EXPLFRAME_CHECK_MSG(value <= mask_,
-                      "PackedVector: value exceeds field width");
-  ++size_;
-  if (words_for(size_, bits_) > words_.size())
-    words_.resize(words_for(size_, bits_), 0);
-  set(size_ - 1, value);
-}
-
 void PackedVector::insert(std::size_t pos, std::uint64_t value) {
   EXPLFRAME_CHECK(pos <= size_);
   push_back(0);  // width-checks `value` via the set() below
@@ -60,15 +51,18 @@ void PackedVector::erase(std::size_t pos, std::size_t count) {
   EXPLFRAME_CHECK(pos <= size_ && count <= size_ - pos);
   for (std::size_t i = pos; i + count < size_; ++i) set(i, get(i + count));
   size_ -= count;
-  words_.resize(words_for(size_, bits_));
+  trim_tail();
 }
 
 void PackedVector::resize(std::size_t count) {
-  const std::size_t old = size_;
   size_ = count;
-  words_.resize(words_for(count, bits_), 0);
-  // Zero any tail bits a previous, larger size left behind.
-  for (std::size_t i = old; i < count; ++i) set(i, 0);
+  trim_tail();
+}
+
+void PackedVector::trim_tail() {
+  words_.resize(words_for(size_, bits_), 0);
+  const unsigned used = static_cast<unsigned>(size_ * bits_ % 64);
+  if (used != 0) words_.back() &= (1ull << used) - 1;
 }
 
 void PackedVector::reserve(std::size_t count) {

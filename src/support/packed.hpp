@@ -32,6 +32,8 @@
 #include <span>
 #include <vector>
 
+#include "support/check.hpp"
+
 namespace explframe {
 
 /// Vector of unsigned integers, each stored in exactly `bits` bits
@@ -61,7 +63,20 @@ class PackedVector {
   /// Overwrite element `i` (CHECK: in range, value fits `bits()`).
   void set(std::size_t i, std::uint64_t value);
   /// Append (CHECK: value fits `bits()`).
-  void push_back(std::uint64_t value);
+  void push_back(std::uint64_t value) {
+    EXPLFRAME_CHECK_MSG(value <= mask_,
+                        "PackedVector: value exceeds field width");
+    // The bits past the last element are zero (see trim_tail), so the new
+    // one is ORed into the last word, spilling into at most one more.
+    const unsigned shift = static_cast<unsigned>(size_ * bits_ % 64);
+    if (shift == 0) {
+      words_.push_back(value);
+    } else {
+      words_.back() |= value << shift;
+      if (shift + bits_ > 64) words_.push_back(value >> (64 - shift));
+    }
+    ++size_;
+  }
   /// Insert before `pos` (CHECK: pos <= size, value fits), shifting the
   /// tail one slot right.
   void insert(std::size_t pos, std::uint64_t value);
@@ -69,7 +84,10 @@ class PackedVector {
   /// shifting the tail left.
   void erase(std::size_t pos, std::size_t count = 1);
   /// Drop all elements (capacity retained).
-  void clear() noexcept { size_ = 0; }
+  void clear() noexcept {
+    size_ = 0;
+    words_.clear();
+  }
   /// Grow (zero-filled) or shrink to `count` elements.
   void resize(std::size_t count);
   /// Pre-allocate backing words for `count` elements.
@@ -87,6 +105,9 @@ class PackedVector {
   static std::size_t words_for(std::size_t count, unsigned bits) noexcept {
     return (count * bits + 63) / 64;
   }
+  /// Fits the word array to size_ and zeroes the bits past the last
+  /// element, which push_back relies on.
+  void trim_tail();
 
   unsigned bits_ = 1;
   std::uint64_t mask_ = 1;

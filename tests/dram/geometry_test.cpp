@@ -26,6 +26,19 @@ TEST(Geometry, WithCapacityLargeAddsRanks) {
   EXPECT_GT(g.ranks, 1u);
 }
 
+TEST(Geometry, CapacityErrorNamesWhatWithCapacityRejects) {
+  EXPECT_EQ(Geometry::capacity_error(4 * kMiB), nullptr);  // 64 rows
+  EXPECT_EQ(Geometry::capacity_error(16 * kGiB), nullptr);
+  EXPECT_NE(Geometry::capacity_error(96 * kMiB), nullptr);
+  EXPECT_NE(Geometry::capacity_error(2 * kMiB), nullptr);
+  EXPECT_NE(Geometry::capacity_error(0), nullptr);
+}
+
+TEST(GeometryDeathTest, WithCapacityDiesWithTheCapacityError) {
+  EXPECT_DEATH(Geometry::with_capacity(96 * kMiB), "power of two");
+  EXPECT_DEATH(Geometry::with_capacity(2 * kMiB), "fewer than 64 rows");
+}
+
 TEST(Geometry, DescribeMentionsCapacity) {
   const auto g = Geometry::with_capacity(256 * kMiB);
   EXPECT_NE(g.describe().find("256"), std::string::npos);

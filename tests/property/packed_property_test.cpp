@@ -106,6 +106,38 @@ TEST(PackedVectorProperty, StormMatchesVectorOracle) {
   }
 }
 
+/// push_back ORs into the last word, so every path that drops elements
+/// (clear, erase, shrinking resize) must leave no stale bits behind it.
+TEST(PackedVectorProperty, AppendAfterDroppingElementsReadsBack) {
+  for (const unsigned bits : {1u, 3u, 19u, 27u, 28u, 33u, 63u, 64u}) {
+    SCOPED_TRACE(bits);
+    const std::uint64_t ones = bits == 64 ? ~0ull : (1ull << bits) - 1;
+    const auto filled = [&](std::size_t n) {
+      PackedVector v(bits);
+      for (std::size_t i = 0; i < n; ++i) v.push_back(ones);
+      return v;
+    };
+    PackedVector cleared = filled(9);
+    cleared.clear();
+    PackedVector erased = filled(9);
+    erased.erase(2, 7);
+    PackedVector shrunk = filled(9);
+    shrunk.resize(2);
+    for (PackedVector* v : {&cleared, &erased, &shrunk}) {
+      const std::size_t keep = v->size();
+      v->push_back(0);
+      v->push_back(1);
+      v->resize(v->size() + 3);
+      ASSERT_EQ(v->size(), keep + 5);
+      for (std::size_t i = 0; i < keep; ++i) EXPECT_EQ(v->get(i), ones);
+      EXPECT_EQ(v->get(keep), 0u);
+      EXPECT_EQ(v->get(keep + 1), 1u);
+      for (std::size_t i = keep + 2; i < v->size(); ++i)
+        EXPECT_EQ(v->get(i), 0u) << "index " << i;
+    }
+  }
+}
+
 /// A value one past the field's maximum must CHECK, not truncate — for
 /// every store path.
 TEST(PackedVectorProperty, OverWidthValuesDieInsteadOfTruncating) {

@@ -111,6 +111,47 @@ TEST(Scenario, RejectsSemanticImpossibilities) {
                    .has_value());
 }
 
+// memory_mib values that used to pass validation and then CHECK-abort
+// while the machine's DRAM geometry was built: each is now a parse error
+// attributed to the key.
+std::string memory_mib_error(const std::string& value) {
+  std::string error;
+  EXPECT_FALSE(Scenario::from_scn("name = x\ntitle = t\nbuffer_mib = 1\n"
+                                  "memory_mib = " + value + "\n",
+                                  &error)
+                   .has_value())
+      << value;
+  EXPECT_EQ(error.rfind("key 'memory_mib': ", 0), 0u) << error;
+  return error;
+}
+
+TEST(Scenario, RejectsMemoryThatIsNotAPowerOfTwo) {
+  EXPECT_NE(memory_mib_error("999999999").find("power of two"),
+            std::string::npos);
+  EXPECT_NE(memory_mib_error("96").find("power of two"), std::string::npos);
+}
+
+TEST(Scenario, RejectsMemoryWhoseByteCountOverflows) {
+  // 2^44 MiB is 2^64 bytes, which wraps to 0.
+  EXPECT_NE(memory_mib_error("17592186044416").find("overflows"),
+            std::string::npos);
+  EXPECT_NE(memory_mib_error("18446744073709551615").find("overflows"),
+            std::string::npos);
+}
+
+TEST(Scenario, RejectsMemoryBelowTheGeometryMinimum) {
+  // 64 rows of 8 banks x 8 KiB is 4 MiB; below it the geometry has no room.
+  for (const char* value : {"0", "1", "2"})
+    EXPECT_NE(memory_mib_error(value).find("fewer than 64 rows"),
+              std::string::npos);
+  std::string error;
+  EXPECT_TRUE(Scenario::from_scn(
+                  "name = x\ntitle = t\nbuffer_mib = 1\nmemory_mib = 4\n",
+                  &error)
+                  .has_value())
+      << error;
+}
+
 TEST(Scenario, RunnerConfigLowersEveryKnob) {
   const auto s = Scenario::from_scn(
       "name = lower\n"

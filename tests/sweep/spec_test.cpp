@@ -203,6 +203,16 @@ TEST(SweepSpec, ExpandRejectsUnknownBaseAndAxisKeys) {
   ASSERT_TRUE(bad_value.has_value());
   EXPECT_FALSE(bad_value->expand(scenarios(), &error).has_value());
   EXPECT_NE(error.find("tsr"), std::string::npos);
+
+  // A swept memory size the DRAM geometry cannot take is rejected at
+  // expansion, not CHECK-aborted when the point's machine is built.
+  const auto bad_memory = SweepSpec::from_sweep(
+      "name = x\ntitle = t\nbase = quickstart\n"
+      "axis.memory_mib = 64,999999999\n");
+  ASSERT_TRUE(bad_memory.has_value());
+  EXPECT_FALSE(bad_memory->expand(scenarios(), &error).has_value());
+  EXPECT_NE(error.find("memory_mib=999999999"), std::string::npos) << error;
+  EXPECT_NE(error.find("key 'memory_mib'"), std::string::npos) << error;
 }
 
 TEST(SweepSpec, ExpansionIsDeterministicRowMajor) {
