@@ -32,6 +32,7 @@
 
 #include "scenario/registry.hpp"
 #include "support/check.hpp"
+#include "support/parallel.hpp"
 #include "support/table.hpp"
 #include "sweep/registry.hpp"
 #include "sweep/runner.hpp"
@@ -75,10 +76,9 @@ double sequential_seconds(const sweep::SweepSpec& spec) {
 
 double sharded_seconds(const sweep::SweepSpec& spec) {
   const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> shards;
-  for (std::uint32_t index = 0; index < kShards; ++index)
-    shards.emplace_back([&spec, index] { run_one_shard(spec, index); });
-  for (std::thread& shard : shards) shard.join();
+  parallel_for(kShards, kShards, [&spec](std::size_t index) {
+    run_one_shard(spec, static_cast<std::uint32_t>(index));
+  });
   return seconds_since(start);
 }
 

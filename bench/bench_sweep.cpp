@@ -1,7 +1,7 @@
 // PERF — sweep-engine overhead.
 //
 // A sweep must cost what its points cost: the grid expansion, the
-// work-stealing pool, the per-point record building and the fsynced
+// (group, trial) task pool, the per-point record building and the fsynced
 // checkpoint log all ride on top of CampaignRunner, and this bench keeps
 // that tax honest. It runs one registered grid twice:
 //

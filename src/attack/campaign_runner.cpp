@@ -1,11 +1,9 @@
 #include "attack/campaign_runner.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <thread>
 
 #include "support/check.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 
 namespace explframe::attack {
@@ -42,15 +40,7 @@ std::pair<std::uint64_t, std::uint64_t> CampaignRunner::trial_seeds(
 
 CampaignReport CampaignRunner::run_trial(const RunnerConfig& config,
                                          std::uint32_t trial) {
-  const auto [system_seed, campaign_seed] =
-      trial_seeds(config.seed, trial);
-  kernel::SystemConfig sys_cfg = config.system;
-  sys_cfg.seed = system_seed;
-  kernel::System sys(sys_cfg);
-  CampaignConfig campaign_cfg = config.campaign;
-  campaign_cfg.seed = campaign_seed;
-  ExplFrameCampaign campaign(sys, campaign_cfg);
-  return campaign.run();
+  return run_trial_group(config, {config.campaign}, trial).front();
 }
 
 std::vector<CampaignReport> CampaignRunner::run_trial_group(
@@ -64,8 +54,10 @@ std::vector<CampaignReport> CampaignRunner::run_trial_group(
   CampaignConfig first = variants.front();
   first.seed = campaign_seed;
   // Template once; every variant forks from the shared snapshot (run_fork
-  // CHECKs that each variant matches the base's template_key).
-  TemplatedCampaign templated(sys, first, /*take_snapshot=*/true);
+  // CHECKs that each variant matches the base's template_key). A lone
+  // variant snapshots only if it asks to, exactly like ExplFrameCampaign.
+  TemplatedCampaign templated(sys, first,
+                              variants.size() > 1 || first.fork_from_snapshot);
   std::vector<CampaignReport> reports;
   reports.reserve(variants.size());
   for (const CampaignConfig& variant : variants) {
@@ -78,29 +70,13 @@ std::vector<CampaignReport> CampaignRunner::run_trial_group(
 
 CampaignAggregate CampaignRunner::run() {
   EXPLFRAME_CHECK(config_.trials > 0);
-  // RunnerConfig promises threads == 0 behaves like 1, and there is never a
-  // point in spinning up more workers than there are trials.
-  const std::uint32_t workers =
-      std::clamp<std::uint32_t>(config_.threads, 1u, config_.trials);
-
   // determinism: allow(steady-clock) aggregate wall_seconds diagnostic, never emitted
   const auto wall_start = std::chrono::steady_clock::now();
   std::vector<CampaignReport> reports(config_.trials);
-  std::atomic<std::uint32_t> next{0};
-  auto worker = [&] {
-    for (std::uint32_t trial = next.fetch_add(1); trial < config_.trials;
-         trial = next.fetch_add(1)) {
-      reports[trial] = run_trial(config_, trial);
-    }
-  };
-  if (workers == 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::uint32_t w = 0; w < workers; ++w) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
+  // threads == 0 clamps to one worker, as RunnerConfig promises.
+  parallel_for(config_.trials, config_.threads, [&](std::size_t trial) {
+    reports[trial] = run_trial(config_, static_cast<std::uint32_t>(trial));
+  });
   const std::chrono::duration<double> wall =
       // determinism: allow(steady-clock) aggregate wall_seconds diagnostic, never emitted
       std::chrono::steady_clock::now() - wall_start;

@@ -1,5 +1,6 @@
-// attack::CampaignRunner — executes N independent campaign trials across a
-// worker-thread pool and aggregates the per-phase outcome statistics.
+// attack::CampaignRunner — executes N independent campaign trials on
+// parallel_for's worker pool (one task per trial) and aggregates the
+// per-phase outcome statistics.
 //
 // Each trial gets its own kernel::System (simulated machine) and its own
 // deterministically derived (system seed, campaign seed) pair, so results
@@ -91,8 +92,9 @@ class CampaignRunner {
   /// Run one trial of several campaign variants that agree on every
   /// template-shaping field (attack::template_key; CHECKed) over ONE
   /// machine: template once, snapshot, fork each variant from the shared
-  /// post-templating state. Element i corresponds to variants[i] and is
-  /// byte-identical to run_trial with that campaign config — this is the
+  /// post-templating state (a single variant snapshots only when its
+  /// fork_from_snapshot asks). Element i corresponds to variants[i] and is
+  /// byte-identical to a lone run of that campaign config — this is the
   /// sweep amortization (SweepRunner groups grid points by template_key).
   static std::vector<CampaignReport> run_trial_group(
       const RunnerConfig& base, const std::vector<CampaignConfig>& variants,

@@ -170,16 +170,20 @@ std::optional<SubmitOutcome> Service::submit(const JobRequest& request,
   // Identical concurrent submissions write identical bytes, and the
   // rename makes the last writer win harmlessly. Transient failures are
   // retried inside durable_write; a permanent one degrades the service.
-  const io::Status spooled =
-      io::durable_write(fs(), queue_path(*id), request.serialize() + "\n");
-  if (!spooled.ok()) {
-    if (spooled.permanent()) enter_degraded(spooled.message());
-    if (why) *why = SubmitError::kUnavailable;
-    fail_with(error, "cannot spool request into '" + queue_path(*id) +
-                         "': " + spooled.message());
-    return std::nullopt;
+  // A queued or running job's .req is already durable; re-spooling it
+  // could land after finish() retired it and outlive the finished job.
+  if (!tracked || tracked->state == JobState::kFailed) {
+    const io::Status spooled =
+        io::durable_write(fs(), queue_path(*id), request.serialize() + "\n");
+    if (!spooled.ok()) {
+      if (spooled.permanent()) enter_degraded(spooled.message());
+      if (why) *why = SubmitError::kUnavailable;
+      fail_with(error, "cannot spool request into '" + queue_path(*id) +
+                           "': " + spooled.message());
+      return std::nullopt;
+    }
+    fs().crash_point("service.submit.spooled");
   }
-  fs().crash_point("service.submit.spooled");
   const JobQueue::Submitted submitted = queue_.submit(*id, request);
   outcome.accepted = submitted.enqueued;
   outcome.deduped = submitted.deduped;

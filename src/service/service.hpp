@@ -22,10 +22,10 @@
 // failed/ with the reason — never a silent infinite retry.
 //
 // Shutdown: shutdown(kDrain) finishes every queued job first;
-// shutdown(kCancel) raises the cancel flag SweepRunner checks between
-// group steals, so an in-flight sweep stops at a point boundary, keeps
-// its fsynced checkpoint, and goes back to queued — the next start()
-// (or a resubmission) completes it byte-identically.
+// shutdown(kCancel) raises the cancel flag SweepRunner checks before each
+// (group, trial) task, so an in-flight sweep stops once running tasks
+// finish, keeps its fsynced checkpoint, and goes back to queued — the
+// next start() (or a resubmission) completes it byte-identically.
 //
 // Failure model: every spool write goes through io::FileSystem
 // (ServiceOptions::fs — io::real() in production, io::FaultyFs in the

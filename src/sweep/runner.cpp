@@ -1,5 +1,6 @@
 #include "sweep/runner.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <limits>
@@ -7,10 +8,11 @@
 #include <mutex>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "attack/campaign_runner.hpp"
-#include "scenario/report.hpp"
 #include "support/check.hpp"
+#include "support/parallel.hpp"
 
 namespace explframe::sweep {
 
@@ -428,122 +430,86 @@ std::optional<SweepResult> run_sweep(const SweepSpec& spec,
 
   std::mutex mutex;  // Guards the writer, the slots and the progress hook.
   // The first checkpoint-append failure (after its bounded retries); once
-  // set, workers stop stealing groups and the sweep aborts.
+  // set, no further task starts and the sweep aborts.
   io::Status append_failure;
+  std::atomic<bool> io_failed{false};
   if (options.on_point) {
     for (const auto& slot : slots)
       if (slot) options.on_point((*points)[slot->index], *slot, true);
   }
 
-  std::vector<std::size_t> pending;
-  for (std::size_t i = 0; i < slots.size(); ++i)
-    if (owns(i) && !slots[i]) pending.push_back(i);
+  // Group the pending points that share a templated base: same
+  // template-shaping fields (attack::template_key), same master seed, same
+  // trial count. A point that shares with nobody is a group of one.
+  struct Group {
+    attack::RunnerConfig base;
+    std::vector<attack::CampaignConfig> variants;
+    std::vector<PointRecord> done;  ///< One per member; trials by index.
+    std::uint32_t trials_left = 0;  ///< Guarded by `mutex`.
+  };
+  std::vector<Group> groups;
+  std::map<std::string, std::size_t> group_index;
+  for (std::size_t index = 0; index < slots.size(); ++index) {
+    if (!owns(index) || slots[index]) continue;
+    const attack::RunnerConfig rc = (*points)[index].scenario.runner_config();
+    const std::string key = attack::template_key(rc.system, rc.campaign) +
+                            "|seed=" + std::to_string(rc.seed) +
+                            "|trials=" + std::to_string(rc.trials);
+    const auto [it, inserted] = group_index.emplace(key, groups.size());
+    if (inserted) groups.push_back(Group{rc, {}, {}, rc.trials});
+    groups[it->second].variants.push_back(rc.campaign);
+    groups[it->second].done.push_back(PointRecord{
+        index, (*points)[index].id, std::vector<TrialRow>(rc.trials)});
+  }
+
+  // One task per (group, trial): template that trial's machine once, fork
+  // every member from it. Forked reports equal fresh ones, so sharing
+  // changes only the wall clock.
+  std::vector<std::pair<std::size_t, std::uint32_t>> tasks;
+  for (std::size_t g = 0; g < groups.size(); ++g)
+    for (std::uint32_t trial = 0; trial < groups[g].base.trials; ++trial)
+      tasks.emplace_back(g, trial);
+
+  const std::uint32_t threads =
+      options.threads > 0 ? options.threads
+                          : std::max(1u, std::thread::hardware_concurrency());
 
   // determinism: allow(steady-clock) sweep wall_seconds diagnostic, stdout only
   const auto start = std::chrono::steady_clock::now();
-  if (!pending.empty()) {
-    // Group points that share a templated base: same template-shaping
-    // fields (attack::template_key), same master seed, same trial count.
-    // A group templates once per trial and forks every member from the
-    // snapshot; sharing never changes a reported byte, only wall clock.
-    // With sharing off every point is its own group (the bench baseline).
-    std::vector<std::vector<std::size_t>> groups;
-    if (options.share_templates) {
-      std::map<std::string, std::size_t> group_index;
-      for (const std::size_t index : pending) {
-        const attack::RunnerConfig rc =
-            (*points)[index].scenario.runner_config();
-        const std::string key =
-            attack::template_key(rc.system, rc.campaign) +
-            "|seed=" + std::to_string(rc.seed) +
-            "|trials=" + std::to_string(rc.trials);
-        const auto [it, inserted] = group_index.emplace(key, groups.size());
-        if (inserted) groups.emplace_back();
-        groups[it->second].push_back(index);
+  const auto run_task = [&](std::size_t t) {
+    Group& group = groups[tasks[t].first];
+    const std::uint32_t trial = tasks[t].second;
+    const std::vector<attack::CampaignReport> reports =
+        attack::CampaignRunner::run_trial_group(group.base, group.variants,
+                                                trial);
+    for (std::size_t i = 0; i < group.done.size(); ++i)
+      group.done[i].trials[trial] = TrialRow::from_report(reports[i]);
+
+    const std::lock_guard<std::mutex> lock(mutex);
+    if (--group.trials_left > 0) return;
+    // The group's last trial landed: its points are complete.
+    for (PointRecord& record : group.done) {
+      const io::Status appended = writer.append(record);
+      if (!appended.ok()) {
+        // The retries are spent; this point is computed but not durable,
+        // so it is NOT completed — drop it (a resume reruns it) and abort
+        // the sweep.
+        if (append_failure.ok()) append_failure = appended;
+        io_failed.store(true);
+        return;
       }
-    } else {
-      for (const std::size_t index : pending) groups.push_back({index});
+      PointRecord& landed = slots[record.index].emplace(std::move(record));
+      if (options.on_point)
+        options.on_point((*points)[landed.index], landed, false);
     }
-
-    std::uint32_t threads = options.threads;
-    if (threads == 0) {
-      threads = std::thread::hardware_concurrency();
-      if (threads == 0) threads = 1;
-    }
-    if (threads > groups.size())
-      threads = static_cast<std::uint32_t>(groups.size());
-
-    // Work stealing: each worker pulls the next unfinished group; a worker
-    // stuck on a slow group never blocks the rest of the grid.
-    std::atomic<std::size_t> next{0};
-    std::atomic<bool> io_failed{false};
-    const auto worker = [&] {
-      while (true) {
-        // The graceful-stop seam: once `cancel` reads true no further
-        // group starts; everything already appended to the checkpoint
-        // stays durable, so a later --resume completes byte-identically.
-        // A checkpoint-append failure stops the pool the same way: points
-        // the sweep cannot make durable must not be treated as done.
-        if (options.cancel && options.cancel->load()) return;
-        if (io_failed.load()) return;
-        const std::size_t slot = next.fetch_add(1);
-        if (slot >= groups.size()) return;
-        const std::vector<std::size_t>& group = groups[slot];
-        std::vector<PointRecord> done(group.size());
-        for (std::size_t i = 0; i < group.size(); ++i) {
-          done[i].index = group[i];
-          done[i].id = (*points)[group[i]].id;
-        }
-        if (group.size() == 1) {
-          // One thread per point: the sweep parallelises across groups, so
-          // the inner CampaignRunner runs its trials serially.
-          const scenario::ScenarioResult result = scenario::run_scenario(
-              (*points)[group[0]].scenario, /*threads_override=*/1);
-          for (const attack::CampaignReport& report :
-               result.aggregate.reports)
-            done[0].trials.push_back(TrialRow::from_report(report));
-        } else {
-          // Shared-template group: one machine per trial, one templating
-          // pass, one snapshot fork per member point.
-          const attack::RunnerConfig base =
-              (*points)[group[0]].scenario.runner_config();
-          std::vector<attack::CampaignConfig> variants;
-          variants.reserve(group.size());
-          for (const std::size_t index : group)
-            variants.push_back(
-                (*points)[index].scenario.runner_config().campaign);
-          for (std::uint32_t trial = 0; trial < base.trials; ++trial) {
-            const std::vector<attack::CampaignReport> reports =
-                attack::CampaignRunner::run_trial_group(base, variants,
-                                                        trial);
-            for (std::size_t i = 0; i < group.size(); ++i)
-              done[i].trials.push_back(TrialRow::from_report(reports[i]));
-          }
-        }
-
-        const std::lock_guard<std::mutex> lock(mutex);
-        for (std::size_t i = 0; i < group.size(); ++i) {
-          const std::size_t index = group[i];
-          const io::Status appended = writer.append(done[i]);
-          if (!appended.ok()) {
-            // The retries are spent; this point is computed but not
-            // durable, so it is NOT completed — drop it (a resume reruns
-            // it) and abort the sweep.
-            if (append_failure.ok()) append_failure = appended;
-            io_failed.store(true);
-            return;
-          }
-          slots[index] = std::move(done[i]);
-          if (options.on_point)
-            options.on_point((*points)[index], *slots[index], false);
-        }
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (std::uint32_t t = 0; t < threads; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
+  };
+  // The graceful-stop seam: once `cancel` reads true no further task
+  // starts, and every appended point stays durable for --resume. A
+  // checkpoint-append failure stops the pool the same way: points the
+  // sweep cannot make durable must not be treated as done.
+  parallel_for(tasks.size(), threads, run_task, [&] {
+    return (options.cancel && options.cancel->load()) || io_failed.load();
+  });
   const std::chrono::duration<double> elapsed =
       // determinism: allow(steady-clock) sweep wall_seconds diagnostic, stdout only
       std::chrono::steady_clock::now() - start;

@@ -1,27 +1,28 @@
 // sweep::SweepRunner — executes an expanded sweep grid across a worker
 // pool, with a crash-safe checkpoint so interrupted sweeps resume.
 //
-// Execution model: the expanded points form a shared work queue of
-// *groups* — points whose (attack::template_key, master seed, trial
-// count) coincide share one templated machine state, so each trial of a
-// group templates once and every member forks from the snapshot
-// (CampaignRunner::run_trial_group). Points that share with nobody run
-// through scenario::run_scenario exactly as before. Each worker thread
-// steals the next unfinished group and runs it single-threaded. Results
-// are keyed by point index, so the aggregate is bit-identical regardless
-// of thread count, grouping or completion order — sharing and parallelism
-// change only the wall clock, exactly like CampaignRunner's own guarantee
-// one level down.
+// Execution model: the owned points form *groups* — points whose
+// (attack::template_key, master seed, trial count) coincide share one
+// templated machine state; a point that shares with nobody is a group of
+// one. Every (group, trial) pair is one parallel_for task: it templates
+// that trial's machine once and forks every member from the snapshot
+// (CampaignRunner::run_trial_group). A group's points are complete, and
+// checkpointed, when its last trial lands. Results are keyed by point and
+// trial index, so the aggregate is bit-identical regardless of thread
+// count, grouping or completion order — sharing and parallelism change
+// only the wall clock, exactly like CampaignRunner's own guarantee one
+// level down.
 //
 // Checkpoint contract: when a checkpoint path is configured, every
 // completed point is appended to the file as one self-contained record
 // line and fsynced before the worker moves on, so a killed process loses
-// at most in-flight points. A checkpoint is bound to SweepSpec::spec_hash
-// (canonical spec text + resolved base scenario, seeds included): resuming
-// against a file whose hash does not match is an error, never a silent
-// partial rerun. Resumed points are *not* re-executed — their stored trial
-// records feed the emitters byte-identically to a fresh run, which
-// `explsim sweep run --resume` relies on and tests assert.
+// at most the points of unfinished groups. A checkpoint is bound to
+// SweepSpec::spec_hash (canonical spec text + resolved base scenario,
+// seeds included): resuming against a file whose hash does not match is
+// an error, never a silent partial rerun. Resumed points are *not*
+// re-executed — their stored trial records feed the emitters
+// byte-identically to a fresh run, which `explsim sweep run --resume`
+// relies on and tests assert.
 //
 // Sharding contract: a grid can be split across N independent processes
 // with `shard_index`/`shard_count`. The partition is deterministic
@@ -119,8 +120,8 @@ std::optional<std::vector<PointRecord>> load_checkpoint(
 
 /// How run_sweep executes and checkpoints; plain data with usable defaults.
 struct SweepRunOptions {
-  /// Worker threads stealing points (0 = hardware concurrency, clamped to
-  /// the point count). Wall-clock only; results are identical.
+  /// Workers running (group, trial) tasks (0 = hardware concurrency,
+  /// clamped to the task count). Wall-clock only; results are identical.
   std::uint32_t threads = 0;
   /// Completed-point log; empty disables checkpointing.
   std::string checkpoint_path;
@@ -131,12 +132,6 @@ struct SweepRunOptions {
   /// Delete the checkpoint after the last point completes (a finished
   /// sweep has nothing left to resume).
   bool remove_checkpoint_on_success = true;
-  /// Group grid points that agree on every template-shaping field plus
-  /// master seed and trial count, templating once per (group, trial) and
-  /// forking each member from the snapshot. Byte-identical either way
-  /// (forked reports equal fresh ones); false is the differential escape
-  /// hatch and the bench baseline.
-  bool share_templates = true;
   /// This process's shard (0-based) out of `shard_count`. With the default
   /// 1-way sharding the run owns every point; otherwise it owns the
   /// round-robin subset i % shard_count == shard_index, requires a
@@ -144,11 +139,11 @@ struct SweepRunOptions {
   /// shard's output, consumed by merge_checkpoints).
   std::uint32_t shard_index = 0;
   std::uint32_t shard_count = 1;  ///< Total shards the grid is split into.
-  /// When non-null, checked between work-group steals: once it reads true
-  /// no further points start, the checkpoint (holding every completed
-  /// point) is retained, and run_sweep fails with a "cancelled" error —
-  /// the graceful-stop seam explsimd's shutdown uses; a later resume
-  /// completes byte-identically.
+  /// When non-null, checked before every (group, trial) task starts: once
+  /// it reads true no further task starts, running ones finish, the
+  /// checkpoint (holding every completed point) is retained, and
+  /// run_sweep fails with a "cancelled" error — the graceful-stop seam
+  /// explsimd's shutdown uses; a later resume completes byte-identically.
   const std::atomic<bool>* cancel = nullptr;
   /// Progress hook, called under a lock in completion order.
   /// `resumed` marks points served from the checkpoint.
@@ -184,7 +179,7 @@ struct SweepResult {
 /// attack outcomes — a failing attack is a result, not an error).
 /// Checkpoint I/O failures are real errors, not warnings: a transient one
 /// (io::Status taxonomy) is retried a bounded, deterministic number of
-/// times; a persistent one aborts the sweep after the in-flight groups
+/// times; a persistent one aborts the sweep after the in-flight tasks
 /// drain, keeping the checkpoint (every *recorded* point was fsynced, so
 /// `--resume` continues from it once the disk recovers).
 std::optional<SweepResult> run_sweep(const SweepSpec& spec,

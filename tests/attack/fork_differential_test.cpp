@@ -9,9 +9,10 @@
 //    exactly what independent fresh trials report;
 //  * thread counts stay invisible — the full CampaignRunner aggregate is
 //    identical at 1 and 3 workers with forking on;
-//  * SweepRunner template-sharing groups emit byte-identical records with
-//    sharing on and off (a shared-seed grid over a post-template axis is
-//    what actually forms a multi-point group).
+//  * SweepRunner template-sharing groups emit byte-identical records to
+//    each point run alone through scenario::run_scenario (a shared-seed
+//    grid over a post-template axis is what actually forms a multi-point
+//    group).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +21,7 @@
 
 #include "attack/campaign_runner.hpp"
 #include "scenario/registry.hpp"
+#include "scenario/report.hpp"
 #include "sweep/runner.hpp"
 #include "sweep/spec.hpp"
 
@@ -131,20 +133,24 @@ TEST(ForkDifferential, SweepTemplateSharingEmitsIdenticalRecords) {
   spec.axes.push_back(
       sweep::Axis{"ciphertext_budget", {"1500", "4000", "8000"}});
 
-  const auto run_with = [&](bool share) {
-    sweep::SweepRunOptions options;
-    options.threads = 1;
-    options.share_templates = share;
-    std::string error;
-    const auto result = sweep::run_sweep(spec, scenario::Registry::builtin(),
-                                         options, &error);
-    EXPECT_TRUE(result.has_value()) << error;
-    return result->records;
-  };
-  const std::vector<sweep::PointRecord> shared = run_with(true);
-  const std::vector<sweep::PointRecord> fresh = run_with(false);
-  ASSERT_EQ(shared.size(), 3u);
-  EXPECT_EQ(shared, fresh);
+  sweep::SweepRunOptions options;
+  options.threads = 1;
+  std::string error;
+  const auto result = sweep::run_sweep(spec, scenario::Registry::builtin(),
+                                       options, &error);
+  ASSERT_TRUE(result.has_value()) << error;
+  ASSERT_EQ(result->records.size(), 3u);
+  // The reference: every point run alone, templating its own machine per
+  // trial instead of forking from the group's shared snapshot.
+  for (const sweep::SweepPoint& point : result->points) {
+    sweep::PointRecord alone;
+    alone.index = point.index;
+    alone.id = point.id;
+    for (const CampaignReport& report :
+         scenario::run_scenario(point.scenario, 1).aggregate.reports)
+      alone.trials.push_back(sweep::TrialRow::from_report(report));
+    EXPECT_EQ(result->records[point.index], alone) << point.id;
+  }
 }
 
 }  // namespace

@@ -4,9 +4,9 @@
 // emitted grid records (and therefore the CSV/markdown goldens) must be
 // byte-identical at any worker count, with template-sharing groups forking
 // trials off shared snapshots. These tests drive that machinery at the
-// host's full thread count so the TSan CI leg watches the work-stealing
-// queue, the per-point record table, checkpoint appends and the progress
-// callback lock under real contention.
+// host's full thread count so the TSan CI leg watches the (group, trial)
+// task counter, the per-trial record slots, checkpoint appends and the
+// progress callback lock under real contention.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "scenario/registry.hpp"
+#include "scenario/report.hpp"
 #include "support/check.hpp"
 #include "sweep/report.hpp"
 #include "sweep/runner.hpp"
@@ -76,17 +77,22 @@ TEST(SweepRunnerRace, RecordsAndReportBytesInvariantAcrossThreadCounts) {
 
 TEST(SweepRunnerRace, SharedTemplatesMatchUnsharedAtFullWidth) {
   const SweepSpec spec = grouped_spec();
-  SweepRunOptions shared;
-  shared.threads = hardware_threads();
-  shared.share_templates = true;
-  SweepRunOptions unshared;
-  unshared.threads = hardware_threads();
-  unshared.share_templates = false;
-  const auto a = run_sweep(spec, scenarios(), shared);
-  const auto b = run_sweep(spec, scenarios(), unshared);
-  ASSERT_TRUE(a.has_value());
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(a->records, b->records);
+  SweepRunOptions wide;
+  wide.threads = hardware_threads();
+  const auto grouped = run_sweep(spec, scenarios(), wide);
+  ASSERT_TRUE(grouped.has_value());
+  // The unshared reference: every point run alone through run_scenario,
+  // templating its own machine per trial, at the same width.
+  for (const SweepPoint& point : grouped->points) {
+    PointRecord alone;
+    alone.index = point.index;
+    alone.id = point.id;
+    for (const attack::CampaignReport& report :
+         scenario::run_scenario(point.scenario, hardware_threads())
+             .aggregate.reports)
+      alone.trials.push_back(TrialRow::from_report(report));
+    EXPECT_EQ(grouped->records[point.index], alone) << point.id;
+  }
 }
 
 TEST(SweepRunnerRace, ConcurrentCheckpointedSweepsStayIsolated) {

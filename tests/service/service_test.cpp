@@ -2,9 +2,10 @@
 // concurrent duplicate submissions collapse to one execution, completed
 // reports are served from the cache byte-identically, a crashed worker
 // requeues exactly once before the retry cap files the job under
-// failed/, a cancel shutdown mid-sweep leaves a resumable checkpoint the
-// next daemon finishes byte-identically, and spooled .req files survive
-// restarts. Runs under ASan and TSan in CI — the worker pool and queue
+// failed/, a duplicate submission of a running job leaves its spooled
+// request alone, a cancel shutdown mid-sweep leaves a resumable checkpoint
+// the next daemon finishes byte-identically, and spooled .req files
+// survive restarts. Runs under ASan and TSan in CI — the worker pool and queue
 // must be clean at any interleaving.
 #include "service/service.hpp"
 
@@ -19,6 +20,8 @@
 #include <thread>
 #include <vector>
 
+#include "io/faulty_fs.hpp"
+#include "io/fs.hpp"
 #include "scenario/registry.hpp"
 #include "support/check.hpp"
 #include "sweep/registry.hpp"
@@ -212,6 +215,55 @@ TEST(Service, RetryCapFilesTheJobUnderFailed) {
   EXPECT_TRUE(std::filesystem::exists(service.failed_path(outcome->id)));
   EXPECT_FALSE(std::filesystem::exists(service.queue_path(outcome->id)));
   EXPECT_FALSE(service.report(outcome->id, "md").has_value());
+}
+
+// Regression: a duplicate submission of a running job used to re-spool
+// its .req; when that rename landed after the worker's finish() had
+// retired the file, a stale .req outlived the completed job. The held
+// worker makes the duplicate deterministically hit the running state.
+TEST(Service, SubmitOfARunningJobDoesNotRespoolItsRequest) {
+  io::FaultyFs fs(io::real());
+  std::atomic<bool> entered{false};
+  std::atomic<bool> release{false};
+  ServiceOptions options;
+  options.spool_dir = fresh_spool("svc-running-dup");
+  options.workers = 1;
+  options.fs = &fs;
+  options.crash_for_test = [&entered, &release](const Job&) {
+    entered.store(true);
+    while (!release.load())
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return false;
+  };
+  Service service(std::move(options), scenarios(), sweeps());
+  std::string error;
+  ASSERT_TRUE(service.start(&error)) << error;
+  const auto first = service.submit(scenario_request(), &error);
+  ASSERT_TRUE(first.has_value()) << error;
+  ASSERT_TRUE(first->accepted);
+  while (!entered.load())
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+  const std::uint64_t mark = fs.op_count();
+  const auto duplicate = service.submit(scenario_request(), &error);
+  ASSERT_TRUE(duplicate.has_value()) << error;
+  EXPECT_TRUE(duplicate->deduped);
+  EXPECT_FALSE(duplicate->accepted);
+  const std::string req = service.queue_path(first->id);
+  const std::vector<io::FaultyFs::OpRecord> trace = fs.trace();
+  for (std::size_t k = mark; k < trace.size(); ++k)
+    EXPECT_NE(trace[k].path.rfind(req, 0), 0u)
+        << "duplicate submit touched the spooled request: "
+        << trace[k].describe(k);
+
+  release.store(true);
+  service.drain();
+  service.shutdown(Service::Shutdown::kDrain);
+  const auto job = service.status(first->id);
+  ASSERT_TRUE(job.has_value());
+  EXPECT_EQ(job->state, JobState::kDone);
+  EXPECT_EQ(service.executions(), 1u);
+  EXPECT_FALSE(std::filesystem::exists(req)) << "stale .req after completion";
 }
 
 TEST(Service, CancelShutdownLeavesResumableStateAndRestartCompletes) {

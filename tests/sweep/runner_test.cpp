@@ -4,11 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 
 #include "scenario/registry.hpp"
 #include "support/check.hpp"
+#include "sweep/report.hpp"
 #include "sweep/spec.hpp"
 
 namespace explframe::sweep {
@@ -235,6 +237,65 @@ TEST(SweepRunner, WithoutResumeAnExistingCheckpointIsTruncated) {
   const auto result = run_sweep(spec, scenarios(), options, &error);
   ASSERT_TRUE(result.has_value()) << error;
   EXPECT_EQ(result->resumed_points, 0u);
+}
+
+// Cancelling mid-group keeps the checkpoint whole: a group's points are
+// appended only when its last trial lands, so a partly run group leaves no
+// line, and --resume finishes with the bytes of an uninterrupted run.
+TEST(SweepRunner, CancelMidGroupCheckpointsOnlyWholePoints) {
+  // Shared seeds over ciphertext_budget: each max_rows value is one
+  // two-point group, run as (group, trial) tasks.
+  const auto spec = SweepSpec::from_sweep(
+      "name = cancel-grid\n"
+      "title = Cancel mid-group\n"
+      "base = quickstart\n"
+      "base.trials = 2\n"
+      "seed_mode = shared\n"
+      "axis.max_rows = 24,32,40,48,56\n"
+      "axis.ciphertext_budget = 1500,6000\n");
+  ASSERT_TRUE(spec.has_value());
+  const auto fresh = run_sweep(*spec, scenarios(), {});
+  ASSERT_TRUE(fresh.has_value());
+
+  const std::string path = temp_path("cancel-mid-group.ckpt");
+  std::filesystem::remove(path);
+  std::atomic<bool> cancel{false};
+  SweepRunOptions options;
+  options.threads = 3;
+  options.checkpoint_path = path;
+  options.cancel = &cancel;
+  // Raised from inside the task that lands the first group. Tasks start
+  // in index order and each of the two other workers holds or claims at
+  // most one more, so at most 9 of the 10 tasks ever start: the last
+  // group is always cut short.
+  options.on_point = [&cancel](const SweepPoint&, const PointRecord&, bool) {
+    cancel.store(true);
+  };
+  std::string error;
+  EXPECT_FALSE(run_sweep(*spec, scenarios(), options, &error).has_value());
+  EXPECT_NE(error.find("cancelled"), std::string::npos) << error;
+
+  const auto logged =
+      load_checkpoint(path, spec->name, spec->spec_hash(scenarios()), &error);
+  ASSERT_TRUE(logged.has_value()) << error;
+  EXPECT_LT(logged->size(), fresh->records.size());
+  EXPECT_EQ(logged->size() % 2, 0u) << "a group was checkpointed in part";
+  for (const PointRecord& record : *logged) {
+    ASSERT_LT(record.index, fresh->records.size());
+    EXPECT_EQ(record.trials.size(), 2u) << record.id;
+    EXPECT_EQ(record, fresh->records[record.index]) << record.id;
+  }
+
+  SweepRunOptions resume;
+  resume.threads = 3;
+  resume.checkpoint_path = path;
+  resume.resume = true;
+  const auto resumed = run_sweep(*spec, scenarios(), resume, &error);
+  ASSERT_TRUE(resumed.has_value()) << error;
+  EXPECT_EQ(resumed->resumed_points, logged->size());
+  EXPECT_EQ(resumed->records, fresh->records);
+  EXPECT_EQ(sweep_csv(*resumed), sweep_csv(*fresh));
+  EXPECT_EQ(sweep_markdown(*resumed), sweep_markdown(*fresh));
 }
 
 TEST(Checkpoint, LoadTreatsMissingFileAsEmpty) {

@@ -89,8 +89,9 @@ int usage(std::ostream& os, int code) {
         "  sweep run <name|file.sweep>\n"
         "                            run one grid and print its summary\n"
         "      [--out=DIR]           also write <name>.md + <name>.csv\n"
-        "      [--threads=N]         point-stealing workers (wall-clock\n"
-        "                            only; results are identical)\n"
+        "      [--threads=N]         workers running (group, trial)\n"
+        "                            tasks (wall-clock only; results\n"
+        "                            are identical)\n"
         "      [--checkpoint=PATH]   completed-point log (default:\n"
         "                            <name>.ckpt next to the output)\n"
         "      [--resume]            skip points recorded in the\n"

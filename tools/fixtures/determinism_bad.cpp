@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <ctime>
 #include <random>
+#include <thread>
 
 namespace fixture {
 
@@ -46,6 +47,14 @@ inline long bad_escape_wrong_rule() {
 inline int bad_rand() { return rand(); }
 inline unsigned bad_random_device() { return std::random_device{}(); }
 inline unsigned bad_mt19937() { return std::mt19937{42}(); }
+
+// [raw-thread] a hand-rolled thread instead of parallel_for.
+inline void bad_raw_thread() { std::thread([] {}).join(); }
+
+// Querying the core count is not a thread — must NOT be flagged.
+inline unsigned ok_hardware_concurrency() {
+  return std::thread::hardware_concurrency();
+}
 
 // [uninit-seed] lives in determinism_bad_header.hpp (rule is .hpp-only).
 

@@ -29,6 +29,12 @@
 #   uninit-seed     a seed member declared without an initializer: every
 #                   seed has a defined default, or replay depends on
 #                   whatever the stack held.
+#   raw-thread      a std::thread / std::jthread object outside
+#                   src/support/parallel.hpp and src/service/: batch work
+#                   runs on parallel_for, whose index-keyed result slots
+#                   keep output independent of scheduling (Service's
+#                   long-lived queue workers are the one other pool).
+#                   std::thread::hardware_concurrency() stays allowed.
 #
 # Escape syntax (same line, or the line immediately above the finding):
 #
@@ -135,6 +141,13 @@ scan() {
     code !~ /[(=)]/ && file ~ /\.hpp$/ {
       flag("uninit-seed", "seed member declared without an initializer: " $0)
     }
+    # "std::thread" not followed by "::" (hardware_concurrency is fine).
+    code ~ /std::j?thread([^:a-zA-Z0-9_]|:[^:]|$)/ &&
+    file !~ /^src\/support\/parallel\.hpp$/ && file !~ /^src\/service\// {
+      flag("raw-thread",
+           "raw thread outside support/parallel.hpp and service/ " \
+           "(use parallel_for): " $0)
+    }
     { prev = $0 }
     END { exit bad }
   ' "$f"
@@ -148,7 +161,8 @@ if [ "${1:-}" = "--self-test" ]; then
            scan "tools/fixtures/determinism_bad.hpp"
            scan "tools/fixtures/report.cpp"; } 2>&1 )
   status=0
-  for rule in wall-clock steady-clock ambient-rng unordered-emit uninit-seed; do
+  for rule in wall-clock steady-clock ambient-rng unordered-emit uninit-seed \
+              raw-thread; do
     if ! printf '%s\n' "$out" | grep -q "\[$rule\]"; then
       echo "self-test: rule $rule did NOT fire on the negative fixture" >&2
       status=1
@@ -160,6 +174,11 @@ if [ "${1:-}" = "--self-test" ]; then
     echo "self-test: reason-less escape was not rejected" >&2; status=1; }
   printf '%s\n' "$out" | grep -q "does not accept escapes" || {
     echo "self-test: non-escapable rule accepted an escape" >&2; status=1; }
+  # The fixture's hardware_concurrency() query is not a raw thread.
+  if printf '%s\n' "$out" | grep "\[raw-thread\]" | grep -q hardware_concurrency
+  then
+    echo "self-test: raw-thread flagged hardware_concurrency()" >&2; status=1
+  fi
   if [ "$status" -eq 0 ]; then
     echo "determinism lint self-test: OK (all rules fire on the fixture)"
   fi
