@@ -67,7 +67,7 @@ int main() {
       kernel::System sys(sys_cfg);
       CampaignConfig camp = cfg.campaign;
       camp.seed = camp_seed;
-      const CampaignReport r = ExplFrameCampaign(sys, camp).run();
+      const CampaignReport r = run_campaign(sys, camp);
       templated += r.template_found;
       success += r.success;
       if (!r.success) ++stages[r.failure_stage()];

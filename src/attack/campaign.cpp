@@ -159,7 +159,16 @@ TemplatedCampaign::TemplatedCampaign(kernel::System& system,
     post_template_ = system.snapshot();
 }
 
-CampaignReport TemplatedCampaign::run_fork(const CampaignConfig& config) {
+std::vector<TemplatedCampaign::Phase> TemplatedCampaign::phases(
+    const CampaignConfig& config) const {
+  if (!partial_.template_found) return {};
+  std::vector<Phase> out{Phase::kPlant};
+  if (config.noise_ops > 0) out.push_back(Phase::kNoise);
+  out.insert(out.end(), {Phase::kSteer, Phase::kHammer, Phase::kHarvest});
+  return out;
+}
+
+CampaignReport TemplatedCampaign::begin_fork(const CampaignConfig& config) {
   check_analysis_combo(config);
   EXPLFRAME_CHECK_MSG(
       config.seed == config_.seed &&
@@ -174,64 +183,84 @@ CampaignReport TemplatedCampaign::run_fork(const CampaignConfig& config) {
   // never observe.
   if (post_template_) system_->restore(*post_template_);
 
-  const crypto::TableCipher& cipher = *cipher_;
   CampaignReport report = partial_;
   report.template_time = template_time_;
   report.template_wall_seconds = template_wall_;
   report.forked_from_template = post_template_ != nullptr;
-  if (!report.template_found) {
-    report.total_time = system_->now() - start_;
-    return report;
-  }
+  report.total_time = system_->now() - start_;
+  return report;
+}
+
+CampaignReport TemplatedCampaign::run_fork(const CampaignConfig& config) {
+  CampaignReport report = begin_fork(config);
+  for (const Phase phase : phases(config)) run_phase(phase, config, report);
+  return report;
+}
+
+void TemplatedCampaign::run_phase(Phase phase, const CampaignConfig& config,
+                                  CampaignReport& report) {
+  const crypto::TableCipher& cipher = *cipher_;
   kernel::Task& attacker = *attacker_;
   VictimCipherService& victim = *victim_;
+  switch (phase) {
+    case Phase::kPlant:
+      report.planted_pfn = system_->translate(attacker, report.chosen.page_va);
+      EXPLFRAME_CHECK(report.planted_pfn != mm::kInvalidPfn);
+      system_->sys_munmap(attacker, report.chosen.page_va, kPageSize);
+      break;
 
-  // -------------------------------------------------------------- 2 PLANT
-  report.planted_pfn = system_->translate(attacker, report.chosen.page_va);
-  EXPLFRAME_CHECK(report.planted_pfn != mm::kInvalidPfn);
-  system_->sys_munmap(attacker, report.chosen.page_va, kPageSize);
-
-  // Optional contention window between plant and victim allocation.
-  if (config.noise_ops > 0) {
-    kernel::Task& noisy = system_->spawn("noise", config.noise_cpu);
-    kernel::NoiseWorkload noise(*system_, noisy, {}, noise_seed_);
-    if (config.attacker_sleeps)
-      attacker.set_state(kernel::TaskState::kSleeping);
-    noise.run(config.noise_ops);
-    if (config.attacker_sleeps)
-      attacker.set_state(kernel::TaskState::kRunnable);
-  }
-
-  // -------------------------------------------------------------- 3 STEER
-  victim.install_tables();
-  report.victim_table_pfn =
-      system_->translate(victim.task(), victim.table_page_va());
-  report.steered = report.victim_table_pfn == report.planted_pfn;
-
-  // ------------------------------------------------------------- 4 HAMMER
-  templater_->hammer_aggressors(report.chosen);
-  report.fault_injected = victim.table_corrupted();
-  if (report.fault_injected) {
-    const auto table = victim.read_table();
-    const auto canonical = cipher.canonical_table();
-    std::uint32_t live_diffs = 0;
-    for (std::size_t i = 0; i < table.size(); ++i) {
-      const std::uint8_t live = cipher.live_bits(i);
-      if ((table[i] & live) != (canonical[i] & live)) ++live_diffs;
+    case Phase::kNoise: {
+      // Contention window between plant and victim allocation.
+      kernel::Task& noisy = system_->spawn("noise", config.noise_cpu);
+      kernel::NoiseWorkload noise(*system_, noisy, {}, noise_seed_);
+      if (config.attacker_sleeps)
+        attacker.set_state(kernel::TaskState::kSleeping);
+      noise.run(config.noise_ops);
+      if (config.attacker_sleeps)
+        attacker.set_state(kernel::TaskState::kRunnable);
+      break;
     }
-    report.fault_as_predicted =
-        live_diffs == 1 &&
-        (table[report.table_index] &
-         cipher.live_bits(report.table_index)) == fault_model_.v_new;
-  }
-  if (!report.steered || !report.fault_injected) {
-    report.total_time = system_->now() - start_;
-    return report;
-  }
 
-  // ---------------------------------------------- 5 + 6 HARVEST + ANALYSE
+    case Phase::kSteer:
+      victim.install_tables();
+      report.victim_table_pfn =
+          system_->translate(victim.task(), victim.table_page_va());
+      report.steered = report.victim_table_pfn == report.planted_pfn;
+      break;
+
+    case Phase::kHammer:
+      templater_->hammer_aggressors(report.chosen);
+      report.fault_injected = victim.table_corrupted();
+      if (report.fault_injected) {
+        const auto table = victim.read_table();
+        const auto canonical = cipher.canonical_table();
+        std::uint32_t live_diffs = 0;
+        for (std::size_t i = 0; i < table.size(); ++i) {
+          const std::uint8_t live = cipher.live_bits(i);
+          if ((table[i] & live) != (canonical[i] & live)) ++live_diffs;
+        }
+        report.fault_as_predicted =
+            live_diffs == 1 &&
+            (table[report.table_index] &
+             cipher.live_bits(report.table_index)) == fault_model_.v_new;
+      }
+      break;
+
+    case Phase::kHarvest:
+      // A failed steer or injection leaves nothing to harvest.
+      if (report.steered && report.fault_injected)
+        harvest(config, report);
+      break;
+  }
+  report.total_time = system_->now() - start_;
+}
+
+void TemplatedCampaign::harvest(const CampaignConfig& config,
+                                CampaignReport& report) {
   // The engine knows v and v' from the template alone (index + bit) —
   // ExplFrame never observes the victim's memory.
+  const crypto::TableCipher& cipher = *cipher_;
+  VictimCipherService& victim = *victim_;
   auto analysis = fault::make_analysis(config.analysis, cipher, fault_model_);
   Rng rng(plaintext_seed_);
   const std::size_t block = cipher.block_size();
@@ -301,19 +330,12 @@ CampaignReport TemplatedCampaign::run_fork(const CampaignConfig& config) {
 
   report.success =
       report.key_recovered && report.recovered_key == report.victim_key;
-  report.total_time = system_->now() - start_;
-  return report;
 }
 
-ExplFrameCampaign::ExplFrameCampaign(kernel::System& system,
-                                     const CampaignConfig& config)
-    : system_(&system), config_(config) {
-  check_analysis_combo(config);
-}
-
-CampaignReport ExplFrameCampaign::run() const {
-  TemplatedCampaign base(*system_, config_, config_.fork_from_snapshot);
-  return base.run_fork(config_);
+CampaignReport run_campaign(kernel::System& system,
+                            const CampaignConfig& config) {
+  TemplatedCampaign base(system, config, config.fork_from_snapshot);
+  return base.run_fork(config);
 }
 
 }  // namespace explframe::attack

@@ -17,10 +17,14 @@
 //                  plaintexts.
 //   6. ANALYSE   — the fault::Analysis engine (PFA) recovers the master key.
 //
-// One ExplFrameCampaign drives every (cipher, analysis) combination; what
-// used to be two near-duplicate attack classes is now a CampaignConfig.
-// The attacker never reads /proc/<pid>/pagemap; PFNs appear only in the
-// report's ground-truth section, filled in by the harness.
+// TemplatedCampaign runs phase 1 in its constructor and holds the one
+// implementation of phases 2-6 (run_phase; NOISE is an optional phase
+// between PLANT and STEER). run_fork drives them in a loop; run_campaign is
+// the single-shot entry point, and scenario::DebugSession steps the same
+// phases one at a time. Every (cipher, analysis) combination goes through
+// this one pipeline, chosen by a CampaignConfig. The attacker never reads
+// /proc/<pid>/pagemap; PFNs appear only in the report's ground-truth
+// section, filled in by the harness.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +43,7 @@ namespace explframe::attack {
 
 /// Everything one campaign needs: the (cipher, analysis) pair, per-phase
 /// budgets, the contention knobs and the master seed. Plain data — a
-/// scenario or bench fills it in and hands it to ExplFrameCampaign.
+/// scenario or bench fills it in and hands it to run_campaign.
 struct CampaignConfig {
   crypto::CipherKind cipher = crypto::CipherKind::kAes128;
   fault::AnalysisKind analysis = fault::AnalysisKind::kPfaMissingValue;
@@ -147,13 +151,13 @@ std::string template_key(const kernel::SystemConfig& system,
                          const CampaignConfig& campaign);
 
 /// The campaign split at its natural seam: construction runs setup +
-/// templating (phase 1) exactly as ExplFrameCampaign::run() would, then —
-/// when `take_snapshot` — captures a machine snapshot; run_fork() restores
-/// that snapshot and runs the post-template phases (2-6), so N variants
-/// sharing a templated base cost one templating plus N cheap forks. With
-/// take_snapshot = false there is no snapshot machinery at all and a
-/// single run_fork() is exactly the legacy single-shot campaign (the
-/// differential-testing escape hatch mirrors batched_harvest's).
+/// templating (phase 1), then — when `take_snapshot` — captures a machine
+/// snapshot; run_fork() restores that snapshot and runs the post-template
+/// phases (2-6), so N variants sharing a templated base cost one
+/// templating plus N cheap forks. With take_snapshot = false there is no
+/// snapshot machinery at all and a single run_fork() is exactly the legacy
+/// single-shot campaign (the differential-testing escape hatch mirrors
+/// batched_harvest's).
 ///
 /// Reports are byte-identical to fresh single-shot runs because (a) the
 /// machine restore is exact (snap::Restorable contract; the mmap cursor
@@ -163,36 +167,48 @@ std::string template_key(const kernel::SystemConfig& system,
 /// (template_key + master seed).
 class TemplatedCampaign {
  public:
+  /// The post-template phases, in execution order.
+  enum class Phase { kPlant, kNoise, kSteer, kHammer, kHarvest };
+
   /// Runs setup + templating immediately on `system` (which must be
   /// freshly constructed, as in CampaignRunner::run_trial).
   TemplatedCampaign(kernel::System& system, const CampaignConfig& config,
                     bool take_snapshot);
 
-  /// Run phases 2-6 under `config`. CHECK: `config` agrees with the
-  /// templated base on template_key and master seed. Restores the
-  /// post-template snapshot first when one was taken, so calls are
-  /// independent; without one, at most a single call is meaningful.
+  /// Run phases 2-6 under `config`: begin_fork(), then run_phase() for
+  /// each of phases(config). Restores the post-template snapshot first
+  /// when one was taken, so calls are independent; without one, at most a
+  /// single call is meaningful.
   CampaignReport run_fork(const CampaignConfig& config);
 
+  /// The phases run_fork executes under `config`: none when templating
+  /// found no usable flip, kNoise only when config.noise_ops > 0.
+  std::vector<Phase> phases(const CampaignConfig& config) const;
+  /// Start a fork: CHECK that `config` agrees with the templated base on
+  /// template_key and master seed, restore the post-template snapshot (if
+  /// any), and return the phase-1 report with total_time set.
+  CampaignReport begin_fork(const CampaignConfig& config);
+  /// Execute one post-template phase on the machine, recording its outcome
+  /// and the elapsed total_time in `report`. Harvest is a no-op when the
+  /// report says steering or fault injection failed.
+  void run_phase(Phase phase, const CampaignConfig& config,
+                 CampaignReport& report);
+
   // ---- Introspection (debugger + tests) ---------------------------------
-  /// The templated base configuration.
-  const CampaignConfig& config() const noexcept { return config_; }
   /// Phase-1 outcome fields (template_found, chosen flip, victim key, ...).
   const CampaignReport& template_result() const noexcept { return partial_; }
   /// The fault model derived from the chosen flip (valid iff
   /// template_result().template_found).
   const fault::FaultModel& fault_model() const noexcept { return fault_model_; }
-  kernel::System& system() noexcept { return *system_; }
-  kernel::Task& attacker() noexcept { return *attacker_; }
   VictimCipherService& victim() noexcept { return *victim_; }
   Templater& templater() noexcept { return *templater_; }
   const crypto::TableCipher& cipher() const noexcept { return *cipher_; }
-  std::uint64_t noise_seed() const noexcept { return noise_seed_; }
   std::uint64_t plaintext_seed() const noexcept { return plaintext_seed_; }
-  /// Simulated clock at campaign start (before setup + templating).
-  SimTime start_time() const noexcept { return start_; }
 
  private:
+  /// Phases 5 + 6: harvest ciphertexts and run the fault analysis.
+  void harvest(const CampaignConfig& config, CampaignReport& report);
+
   kernel::System* system_;
   CampaignConfig config_;
   const crypto::TableCipher* cipher_ = nullptr;
@@ -209,27 +225,14 @@ class TemplatedCampaign {
   std::unique_ptr<snap::Snapshot> post_template_;
 };
 
-/// Drives the six-phase pipeline above over one kernel::System. run() never
-/// mutates the stored config (derived seeds and the seed-derived victim key
-/// live in locals), so a campaign object is re-runnable — though each run()
-/// attacks the same System, whose state the previous run already changed;
-/// for bit-identical repeats, rebuild the System too.
-///
-/// run() is a thin wrapper over TemplatedCampaign: template once, fork
-/// once. config().fork_from_snapshot selects whether the fork really goes
-/// through a snapshot restore (exercising the CoW machinery on every
-/// campaign) or runs straight through (the legacy path).
-class ExplFrameCampaign {
- public:
-  ExplFrameCampaign(kernel::System& system, const CampaignConfig& config);
-
-  CampaignReport run() const;
-
-  const CampaignConfig& config() const noexcept { return config_; }
-
- private:
-  kernel::System* system_;
-  CampaignConfig config_;
-};
+/// The six-phase pipeline above over one kernel::System: template once and
+/// fork once. config.fork_from_snapshot selects whether the fork really
+/// goes through a snapshot restore (exercising the CoW machinery on every
+/// campaign) or runs straight through (the legacy path). `config` is never
+/// mutated (derived seeds and the seed-derived victim key live in the
+/// campaign), but `system` is: for a bit-identical repeat, run on a fresh
+/// System.
+CampaignReport run_campaign(kernel::System& system,
+                            const CampaignConfig& config);
 
 }  // namespace explframe::attack

@@ -55,7 +55,7 @@ std::vector<CampaignReport> CampaignRunner::run_trial_group(
   first.seed = campaign_seed;
   // Template once; every variant forks from the shared snapshot (run_fork
   // CHECKs that each variant matches the base's template_key). A lone
-  // variant snapshots only if it asks to, exactly like ExplFrameCampaign.
+  // variant snapshots only if it asks to, exactly like run_campaign.
   TemplatedCampaign templated(sys, first,
                               variants.size() > 1 || first.fork_from_snapshot);
   std::vector<CampaignReport> reports;

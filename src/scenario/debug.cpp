@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
-#include "kernel/noise.hpp"
 #include "support/check.hpp"
-#include "support/rng.hpp"
 #include "support/units.hpp"
 
 namespace explframe::scenario {
@@ -18,6 +16,12 @@ std::string hex_byte(std::uint8_t value) {
 }
 
 std::string yes_no(bool value) { return value ? "yes" : "no"; }
+
+using Phase = attack::TemplatedCampaign::Phase;
+
+/// Event name of each Phase, in enum order.
+constexpr const char* kPhaseNames[] = {"plant", "noise", "steer", "hammer",
+                                       "harvest"};
 
 }  // namespace
 
@@ -37,16 +41,12 @@ DebugSession::DebugSession(const Scenario& scenario, std::uint32_t trial)
   // The timeline owns all snapshots here, so the campaign takes none.
   campaign_ = std::make_unique<attack::TemplatedCampaign>(
       *system_, campaign_cfg_, /*take_snapshot=*/false);
+  reports_.push_back(campaign_->begin_fork(campaign_cfg_));
   timeline_ = std::make_unique<snap::Timeline>(*system_);
   timeline_->push("post-template");
-  reports_.push_back(campaign_->template_result());
-  if (reports_.front().template_found) {
-    events_.push_back("plant");
-    if (campaign_cfg_.noise_ops > 0) events_.push_back("noise");
-    events_.push_back("steer");
-    events_.push_back("hammer");
-    events_.push_back("harvest");
-  }
+  phases_ = campaign_->phases(campaign_cfg_);
+  for (const Phase phase : phases_)
+    events_.emplace_back(kPhaseNames[static_cast<int>(phase)]);
 }
 
 bool DebugSession::template_found() const noexcept {
@@ -60,131 +60,44 @@ std::optional<std::size_t> DebugSession::layer_of(
   return std::nullopt;
 }
 
-void DebugSession::do_plant(attack::CampaignReport& report) {
-  kernel::Task& attacker = campaign_->attacker();
-  report.planted_pfn = system_->translate(attacker, report.chosen.page_va);
-  EXPLFRAME_CHECK(report.planted_pfn != mm::kInvalidPfn);
-  system_->sys_munmap(attacker, report.chosen.page_va, kPageSize);
-}
-
-void DebugSession::do_noise(attack::CampaignReport& report) {
-  (void)report;
-  kernel::Task& attacker = campaign_->attacker();
-  kernel::Task& noisy = system_->spawn("noise", campaign_cfg_.noise_cpu);
-  kernel::NoiseWorkload noise(*system_, noisy, {}, campaign_->noise_seed());
-  if (campaign_cfg_.attacker_sleeps)
-    attacker.set_state(kernel::TaskState::kSleeping);
-  noise.run(campaign_cfg_.noise_ops);
-  if (campaign_cfg_.attacker_sleeps)
-    attacker.set_state(kernel::TaskState::kRunnable);
-}
-
-void DebugSession::do_steer(attack::CampaignReport& report) {
-  attack::VictimCipherService& victim = campaign_->victim();
-  victim.install_tables();
-  report.victim_table_pfn =
-      system_->translate(victim.task(), victim.table_page_va());
-  report.steered = report.victim_table_pfn == report.planted_pfn;
-}
-
-void DebugSession::do_hammer(attack::CampaignReport& report) {
-  const crypto::TableCipher& cipher = campaign_->cipher();
-  campaign_->templater().hammer_aggressors(report.chosen);
-  report.fault_injected = campaign_->victim().table_corrupted();
-  if (report.fault_injected) {
-    const auto table = campaign_->victim().read_table();
-    const auto canonical = cipher.canonical_table();
-    std::uint32_t live_diffs = 0;
-    for (std::size_t i = 0; i < table.size(); ++i) {
-      const std::uint8_t live = cipher.live_bits(i);
-      if ((table[i] & live) != (canonical[i] & live)) ++live_diffs;
-    }
-    report.fault_as_predicted =
-        live_diffs == 1 &&
-        (table[report.table_index] & cipher.live_bits(report.table_index)) ==
-            campaign_->fault_model().v_new;
-  }
-}
-
-void DebugSession::do_harvest(attack::CampaignReport& report) {
-  // Mirrors run_fork's early return: a failed steer or injection leaves
-  // nothing to harvest.
-  if (!report.steered || !report.fault_injected) return;
-  const crypto::TableCipher& cipher = campaign_->cipher();
-  attack::VictimCipherService& victim = campaign_->victim();
-  auto analysis = fault::make_analysis(campaign_cfg_.analysis, cipher,
-                                       campaign_->fault_model());
-  Rng rng(campaign_->plaintext_seed());
-  const std::size_t block = cipher.block_size();
-  std::vector<std::uint8_t> pt(block);
-  std::vector<std::uint8_t> ct(block);
-  if (analysis->wants_known_pair()) {
-    rng.fill_bytes(pt);
-    victim.encrypt(pt, ct);
-    analysis->set_known_pair(pt, ct);
-  }
-  const std::uint32_t check_interval =
-      campaign_cfg_.check_interval(cipher.table_size());
-  // The per-call harvest loop (byte-identical to the batched fast path;
-  // single stepping has no batching to amortize).
-  for (std::uint32_t i = 0; i < campaign_cfg_.ciphertext_budget; ++i) {
-    rng.fill_bytes(pt);
-    victim.encrypt(pt, ct);
-    analysis->add_ciphertext(ct);
-    if ((i + 1) % check_interval == 0 ||
-        i + 1 == campaign_cfg_.ciphertext_budget) {
-      if (auto key = analysis->recover_key()) {
-        report.key_recovered = true;
-        report.recovered_key = std::move(*key);
-        report.residual_search = analysis->residual_search();
-        report.ciphertexts_used = i + 1;
-        break;
-      }
-    }
-  }
-  if (!report.key_recovered)
-    report.ciphertexts_used = campaign_cfg_.ciphertext_budget;
-  report.success =
-      report.key_recovered && report.recovered_key == report.victim_key;
-}
-
 std::string DebugSession::step() {
   EXPLFRAME_CHECK_MSG(!done(), "debug session has no events left to step");
-  const std::string name = events_[position_];
+  const Phase phase = phases_[position_];
   attack::CampaignReport report = reports_[position_];
+  campaign_->run_phase(phase, campaign_cfg_, report);
   std::ostringstream out;
-  if (name == "plant") {
-    do_plant(report);
-    out << "plant: munmapped attacker page, frame pfn=" << report.planted_pfn
-        << " now heads the per-cpu cache";
-  } else if (name == "noise") {
-    do_noise(report);
-    out << "noise: ran " << campaign_cfg_.noise_ops
-        << " contention ops (attacker "
-        << (campaign_cfg_.attacker_sleeps ? "sleeping" : "active") << ")";
-  } else if (name == "steer") {
-    do_steer(report);
-    out << "steer: victim table landed on pfn=" << report.victim_table_pfn
-        << " (planted pfn=" << report.planted_pfn
-        << ") -> steered=" << yes_no(report.steered);
-  } else if (name == "hammer") {
-    do_hammer(report);
-    out << "hammer: re-hammered aggressors for "
-        << campaign_cfg_.templating.hammer_iterations
-        << " iterations -> fault_injected=" << yes_no(report.fault_injected)
-        << ", as_predicted=" << yes_no(report.fault_as_predicted);
-  } else {
-    do_harvest(report);
-    if (!report.steered || !report.fault_injected)
-      out << "harvest: skipped (steering or fault injection already failed)";
-    else
-      out << "harvest: " << report.ciphertexts_used
-          << " ciphertexts -> key_recovered=" << yes_no(report.key_recovered)
-          << ", success=" << yes_no(report.success);
+  switch (phase) {
+    case Phase::kPlant:
+      out << "plant: munmapped attacker page, frame pfn=" << report.planted_pfn
+          << " now heads the per-cpu cache";
+      break;
+    case Phase::kNoise:
+      out << "noise: ran " << campaign_cfg_.noise_ops
+          << " contention ops (attacker "
+          << (campaign_cfg_.attacker_sleeps ? "sleeping" : "active") << ")";
+      break;
+    case Phase::kSteer:
+      out << "steer: victim table landed on pfn=" << report.victim_table_pfn
+          << " (planted pfn=" << report.planted_pfn
+          << ") -> steered=" << yes_no(report.steered);
+      break;
+    case Phase::kHammer:
+      out << "hammer: re-hammered aggressors for "
+          << campaign_cfg_.templating.hammer_iterations
+          << " iterations -> fault_injected=" << yes_no(report.fault_injected)
+          << ", as_predicted=" << yes_no(report.fault_as_predicted);
+      break;
+    case Phase::kHarvest:
+      if (!report.steered || !report.fault_injected)
+        out << "harvest: skipped (steering or fault injection already failed)";
+      else
+        out << "harvest: " << report.ciphertexts_used
+            << " ciphertexts -> key_recovered=" << yes_no(report.key_recovered)
+            << ", success=" << yes_no(report.success);
+      break;
   }
-  report.total_time = system_->now() - campaign_->start_time();
+  timeline_->push(events_[position_]);
   ++position_;
-  timeline_->push(name);
   reports_.push_back(std::move(report));
   return out.str();
 }

@@ -4,10 +4,12 @@
 // scenario (the same per-trial seed derivation CampaignRunner uses) and
 // then executes the post-templating attack one *event* at a time — plant,
 // noise (when configured), steer, hammer, harvest — capturing a machine
-// snapshot after every step onto a snap::Timeline. Because restores are
-// exact, the session can rewind to any earlier event and replay, and every
-// replay is bit-identical: the debugger observes the same attack the
-// campaign runner reports, never a perturbed one.
+// snapshot after every step onto a snap::Timeline. Each event is one
+// attack::TemplatedCampaign::run_phase call, the same code run_fork loops
+// over, so the finished report equals CampaignRunner::run_trial's. Because
+// restores are exact, the session can rewind to any earlier event and
+// replay, and every replay is bit-identical: the debugger observes the
+// same attack the campaign runner reports, never a perturbed one.
 //
 // The headline query is bisect_flip(byte): restore the post-steer layer
 // and binary-search the hammer iteration count for the first iteration at
@@ -34,7 +36,8 @@ namespace explframe::scenario {
 /// templating (the part `rewind` cannot cross — layer 0 is post-template).
 class DebugSession {
  public:
-  /// Builds trial `trial`'s machine and runs templating on it.
+  /// Builds trial `trial`'s machine and runs templating on it. Layer 0's
+  /// report is TemplatedCampaign::begin_fork's (total_time = templating).
   DebugSession(const Scenario& scenario, std::uint32_t trial);
 
   /// Post-templating event names in execution order ("plant", "noise" when
@@ -74,14 +77,6 @@ class DebugSession {
   }
 
  private:
-  // Per-event executors; each mutates `report` exactly as the matching
-  // slice of TemplatedCampaign::run_fork would.
-  void do_plant(attack::CampaignReport& report);
-  void do_noise(attack::CampaignReport& report);
-  void do_steer(attack::CampaignReport& report);
-  void do_hammer(attack::CampaignReport& report);
-  void do_harvest(attack::CampaignReport& report);
-
   /// Timeline index of the layer captured after event `name` (layer 0 is
   /// "post-template"); nullopt when that event has not executed.
   std::optional<std::size_t> layer_of(const std::string& name) const;
@@ -93,6 +88,8 @@ class DebugSession {
   std::unique_ptr<kernel::System> system_;
   std::unique_ptr<attack::TemplatedCampaign> campaign_;
   std::unique_ptr<snap::Timeline> timeline_;
+  /// The campaign's phases; events_ holds their names.
+  std::vector<attack::TemplatedCampaign::Phase> phases_;
   std::vector<std::string> events_;
   /// reports_[i] is the report after i events (parallel to the timeline's
   /// layers), so a rewind restores the report alongside the machine.

@@ -6,22 +6,6 @@
 
 namespace explframe::scenario {
 
-namespace {
-
-std::string rate_cell(std::uint32_t hits, std::uint32_t trials) {
-  const auto ci = wilson_interval(hits, trials);
-  return Table::percent(ci.p) + " [" + Table::percent(ci.lo) + ", " +
-         Table::percent(ci.hi) + "]";
-}
-
-std::string samples_cell(const Samples& s) {
-  if (s.empty()) return "-";
-  return Table::to_cell(s.mean()) + " (min " + Table::to_cell(s.min()) +
-         ", max " + Table::to_cell(s.max()) + ")";
-}
-
-}  // namespace
-
 ScenarioResult run_scenario(const Scenario& s,
                             std::uint32_t threads_override) {
   attack::RunnerConfig cfg = s.runner_config();
@@ -51,11 +35,13 @@ std::string markdown_report(const ScenarioResult& result) {
   out += "## Aggregate statistics\n\n";
   Table stats({"metric", "value"});
   stats.row("trials", agg.trials);
-  stats.row("overall success", rate_cell(agg.succeeded, agg.trials));
-  stats.row("rows templated (all trials)", samples_cell(agg.rows_scanned));
+  stats.row("overall success", Table::rate_cell(agg.succeeded, agg.trials));
+  stats.row("rows templated (all trials)",
+            Table::samples_cell(agg.rows_scanned));
   stats.row("ciphertexts to unique key (successful trials)",
-            samples_cell(agg.ciphertexts_used));
-  stats.row("simulated attack seconds", samples_cell(agg.sim_seconds));
+            Table::samples_cell(agg.ciphertexts_used));
+  stats.row("simulated attack seconds",
+            Table::samples_cell(agg.sim_seconds));
   out += stats.render(TableFormat::kMarkdown);
   out += "\n";
 

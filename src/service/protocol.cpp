@@ -16,13 +16,6 @@ bool set_error(std::string* error, const std::string& what) {
   return false;
 }
 
-std::string hex16(std::uint64_t value) {
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i, value >>= 4) out[i] = digits[value & 0xf];
-  return out;
-}
-
 std::uint64_t fnv1a64(const std::string& text) {
   std::uint64_t hash = 0xcbf29ce484222325ULL;
   for (const char c : text) {

@@ -34,6 +34,13 @@ std::optional<std::uint64_t> parse_u64(const std::string& text) noexcept {
   return value;
 }
 
+std::string hex16(std::uint64_t value) {
+  static const char* digits = "0123456789abcdef";
+  std::string out(16, '0');
+  for (int i = 15; i >= 0; --i, value >>= 4) out[i] = digits[value & 0xf];
+  return out;
+}
+
 std::string trim_copy(const std::string& s) { return trim(s); }
 
 bool KvFile::valid_key(const std::string& key) noexcept {

@@ -29,6 +29,10 @@ namespace explframe {
 /// value parser for kv-derived text (axis ranges, checkpoint records).
 std::optional<std::uint64_t> parse_u64(const std::string& text) noexcept;
 
+/// `value` as 16 lowercase hex digits, zero-padded — the spelling of
+/// service job ids and sweep checkpoint spec hashes.
+std::string hex16(std::uint64_t value);
+
 /// Copy of `s` with leading/trailing whitespace removed (the same
 /// trimming KvFile applies to keys and values).
 std::string trim_copy(const std::string& s);

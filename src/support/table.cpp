@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "support/check.hpp"
+#include "support/stats.hpp"
 
 namespace explframe {
 
@@ -53,6 +54,17 @@ std::string Table::percent(double p, int precision) {
   std::ostringstream os;
   os << std::fixed << std::setprecision(precision) << p * 100.0 << "%";
   return os.str();
+}
+
+std::string Table::rate_cell(std::uint32_t hits, std::uint32_t trials) {
+  const auto ci = wilson_interval(hits, trials);
+  return percent(ci.p) + " [" + percent(ci.lo) + ", " + percent(ci.hi) + "]";
+}
+
+std::string Table::samples_cell(const Samples& s) {
+  if (s.empty()) return "-";
+  return to_cell(s.mean()) + " (min " + to_cell(s.min()) + ", max " +
+         to_cell(s.max()) + ")";
 }
 
 std::optional<TableFormat> try_parse_table_format(const std::string& name) {

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <initializer_list>
 #include <iosfwd>
 #include <optional>
@@ -10,6 +11,8 @@
 #include <vector>
 
 namespace explframe {
+
+class Samples;
 
 /// Output formats for Table::render — ASCII for terminals, Markdown for
 /// experiment write-ups, CSV for downstream plotting.
@@ -59,8 +62,12 @@ class Table {
   static std::string to_cell(unsigned long long v);
   static std::string to_cell(bool v);
 
-  /// "p [lo, hi]" rendering for success-rate cells.
+  /// Fraction `p` as a percentage with `precision` decimals ("12.5%").
   static std::string percent(double p, int precision = 1);
+  /// `hits`/`trials` as "p% [lo%, hi%]" with the Wilson 95% interval.
+  static std::string rate_cell(std::uint32_t hits, std::uint32_t trials);
+  /// "mean (min m, max M)" of `s`, or "-" when it is empty.
+  static std::string samples_cell(const Samples& s);
 
  private:
   std::string render_markdown() const;

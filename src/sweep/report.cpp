@@ -12,18 +12,6 @@ namespace explframe::sweep {
 
 namespace {
 
-std::string rate_cell(std::uint32_t hits, std::uint32_t trials) {
-  const auto ci = wilson_interval(hits, trials);
-  return Table::percent(ci.p) + " [" + Table::percent(ci.lo) + ", " +
-         Table::percent(ci.hi) + "]";
-}
-
-std::string samples_cell(const Samples& s) {
-  if (s.empty()) return "-";
-  return Table::to_cell(s.mean()) + " (min " + Table::to_cell(s.min()) +
-         ", max " + Table::to_cell(s.max()) + ")";
-}
-
 double sim_seconds(const TrialRow& trial) {
   return static_cast<double>(trial.total_time) / kSecond;
 }
@@ -123,9 +111,9 @@ std::string sweep_markdown(const SweepResult& result) {
     for (const auto& [key, value] : point.coords) cells.push_back(value);
     cells.push_back(std::to_string(stats.successes) + "/" +
                     std::to_string(stats.trials));
-    cells.push_back(samples_cell(stats.ciphertexts_used));
-    cells.push_back(samples_cell(stats.rows_scanned));
-    cells.push_back(samples_cell(stats.sim_secs));
+    cells.push_back(Table::samples_cell(stats.ciphertexts_used));
+    cells.push_back(Table::samples_cell(stats.rows_scanned));
+    cells.push_back(Table::samples_cell(stats.sim_secs));
     grid.add_row(std::move(cells));
   }
   out += grid.render(TableFormat::kMarkdown);
@@ -146,9 +134,9 @@ std::string sweep_markdown(const SweepResult& result) {
         for (const TrialRow& trial : record.trials) stats.add(trial);
       }
       marginal.row(value, points, stats.trials,
-                   rate_cell(stats.successes, stats.trials),
-                   samples_cell(stats.ciphertexts_used),
-                   samples_cell(stats.rows_scanned));
+                   Table::rate_cell(stats.successes, stats.trials),
+                   Table::samples_cell(stats.ciphertexts_used),
+                   Table::samples_cell(stats.rows_scanned));
     }
     out += marginal.render(TableFormat::kMarkdown);
     out += "\n";

@@ -12,6 +12,7 @@
 
 #include "attack/campaign_runner.hpp"
 #include "support/check.hpp"
+#include "support/config.hpp"
 #include "support/parallel.hpp"
 
 namespace explframe::sweep {
@@ -23,13 +24,6 @@ constexpr char kCheckpointMagic[] = "explsim-sweep-checkpoint v1";
 bool set_error(std::string* error, const std::string& what) {
   if (error) *error = what;
   return false;
-}
-
-std::string hex16(std::uint64_t value) {
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i, value >>= 4) out[i] = digits[value & 0xf];
-  return out;
 }
 
 std::optional<bool> parse_bool_field(const std::string& text) {

@@ -1,4 +1,4 @@
-// ExplFrame against PRESENT-80 — the same ExplFrameCampaign code path as
+// ExplFrame against PRESENT-80 — the same run_campaign code path as
 // the AES tests, differing only in CampaignConfig::cipher, plus the
 // PRESENT-specific victim behaviours (nibble table, dead high bits).
 #include <gtest/gtest.h>
@@ -128,8 +128,7 @@ TEST(ExplFrameCampaignPresent, EndToEndKeyRecovery) {
     // campaign's own victim-key bookkeeping.
     CampaignConfig cfg = present_attack_cfg(seed);
     cfg.victim.key = crypto::random_key(present_cipher(), seed * 131 + 17);
-    ExplFrameCampaign attack(sys, cfg);
-    const auto report = attack.run();
+    const auto report = run_campaign(sys, cfg);
     if (!report.template_found) continue;  // 16-byte window: misses happen
     ++attempted;
     EXPECT_TRUE(report.steered) << "seed " << seed;
@@ -147,11 +146,11 @@ TEST(ExplFrameCampaignPresent, EndToEndKeyRecovery) {
 }
 
 TEST(ExplFrameCampaignPresent, MaxLikelihoodIsRejected) {
-  // Fail-fast in the constructor, not mid-sweep in make_analysis.
+  // Fail-fast before templating, not mid-sweep in make_analysis.
   kernel::System sys(present_system_cfg(1));
   CampaignConfig cfg = present_attack_cfg(1);
   cfg.analysis = fault::AnalysisKind::kPfaMaxLikelihood;
-  EXPECT_DEATH({ ExplFrameCampaign c(sys, cfg); }, "AES-only");
+  EXPECT_DEATH(run_campaign(sys, cfg), "AES-only");
 }
 
 TEST(ExplFrameCampaignPresent, OnlyLiveBitsAreUsableTemplates) {
@@ -159,8 +158,7 @@ TEST(ExplFrameCampaignPresent, OnlyLiveBitsAreUsableTemplates) {
   // nibble) bit — dead-bit flips cannot fault the cipher.
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     kernel::System sys(present_system_cfg(seed));
-    ExplFrameCampaign attack(sys, present_attack_cfg(seed));
-    const auto report = attack.run();
+    const auto report = run_campaign(sys, present_attack_cfg(seed));
     if (!report.template_found) continue;
     EXPECT_LT(report.chosen.bit, 4) << "seed " << seed;
     EXPECT_NE(report.fault_mask & 0x0F, 0) << "seed " << seed;

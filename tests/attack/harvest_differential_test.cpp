@@ -4,8 +4,8 @@
 //    trial reports produced with the batched harvest fast path must equal
 //    the per-call path field for field (the optimisation is
 //    observation-free);
-//  * ExplFrameCampaign::run() must not mutate its config (templating seed,
-//    seed-derived victim key), so campaigns are re-runnable and two fresh
+//  * run_campaign() must not mutate its config (templating seed,
+//    seed-derived victim key), so configs are re-runnable and two fresh
 //    campaigns with the same seed report identically.
 #include <gtest/gtest.h>
 
@@ -69,13 +69,13 @@ TEST(HarvestDifferential, RunDoesNotMutateConfigAndIsRepeatable) {
     kernel::System sys(sys_cfg);
     CampaignConfig campaign_cfg = cfg.campaign;
     campaign_cfg.seed = 7;
-    ExplFrameCampaign campaign(sys, campaign_cfg);
-    const CampaignReport report = campaign.run();
+    const CampaignConfig before = campaign_cfg;
+    const CampaignReport report = run_campaign(sys, campaign_cfg);
     // The config must read back exactly as configured: empty victim key
     // (the derived key lives in the report only) and untouched templating
     // seed.
-    EXPECT_TRUE(campaign.config().victim.key.empty());
-    EXPECT_EQ(campaign.config().templating.seed, campaign_cfg.templating.seed);
+    EXPECT_TRUE(campaign_cfg.victim.key.empty());
+    EXPECT_EQ(campaign_cfg.templating.seed, before.templating.seed);
     return report;
   };
 

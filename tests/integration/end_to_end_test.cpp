@@ -81,8 +81,7 @@ TEST(Integration, ExplFrameBeatsSprayBaseline) {
       cfg.templating.hammer_iterations = 100'000;
       cfg.ciphertext_budget = 1;  // corruption only; skip full PFA here
       cfg.seed = seed;
-      attack::ExplFrameCampaign attack(sys, cfg);
-      const auto r = attack.run();
+      const auto r = attack::run_campaign(sys, cfg);
       if (!r.template_found) continue;
       ++attempts;
       explframe_hits += r.fault_injected ? 1 : 0;
