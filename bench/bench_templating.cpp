@@ -13,6 +13,7 @@
 
 #include "attack/templating.hpp"
 #include "common.hpp"
+#include "support/check.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
 
@@ -45,7 +46,7 @@ Outcome run_one(TemplateStrategy strategy, dram::MappingScheme mapping,
   cfg.max_rows = 256;
   cfg.seed = seed;
   Templater templater(sys, attacker, cfg);
-  templater.allocate_buffer();
+  EXPLFRAME_CHECK(templater.allocate_buffer());
   const auto report = templater.scan();
   Outcome o;
   o.found = !report.flips.empty();

@@ -36,7 +36,10 @@ int main(int argc, char** argv) {
   tc.both_polarities = true;
   attack::Templater templater(sys, attacker, tc);
 
-  templater.allocate_buffer();
+  if (!templater.allocate_buffer()) {
+    std::fprintf(stderr, "could not fault in the attack buffer (OOM)\n");
+    return 1;
+  }
   std::printf("buffer: %llu pages at VA 0x%llx\n",
               (unsigned long long)templater.buffer_pages(),
               (unsigned long long)templater.buffer_va());

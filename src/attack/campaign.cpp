@@ -116,7 +116,7 @@ TemplatedCampaign::TemplatedCampaign(kernel::System& system,
 
   // ------------------------------------------------------------ 1 TEMPLATE
   templater_ = std::make_unique<Templater>(system, *attacker_, templating_cfg);
-  templater_->allocate_buffer();
+  const bool have_buffer = templater_->allocate_buffer();
 
   const std::uint32_t table_off = victim_cfg.sbox_offset;
   const std::size_t table_size = cipher.table_size();
@@ -126,7 +126,10 @@ TemplatedCampaign::TemplatedCampaign(kernel::System& system,
     return cipher.usable_flip(f.offset - table_off, f.bit, f.to_one);
   };
 
-  const TemplateReport tmpl = templater_->scan_until(usable);
+  // A buffer the machine could not fault in (OOM) fails templating
+  // without a scan.
+  const TemplateReport tmpl =
+      have_buffer ? templater_->scan_until(usable) : TemplateReport{};
   partial_.rows_scanned = tmpl.rows_scanned;
   partial_.flips_found = tmpl.flips.size();
   for (const FlipRecord& f : tmpl.flips) {

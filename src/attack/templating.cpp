@@ -1,10 +1,29 @@
 #include "attack/templating.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include "support/check.hpp"
 
 namespace explframe::attack {
+
+namespace {
+
+/// The record for bit `bit` of the byte `off` bytes past `base`.
+FlipRecord flip_at(vm::VirtAddr base, std::uint64_t off, std::uint8_t bit,
+                   bool to_one, vm::VirtAddr aggressor_lo,
+                   vm::VirtAddr aggressor_hi) {
+  FlipRecord rec;
+  rec.page_va = base + (off / kPageSize) * kPageSize;
+  rec.offset = static_cast<std::uint32_t>(off % kPageSize);
+  rec.bit = bit;
+  rec.to_one = to_one;
+  rec.aggressor_lo = aggressor_lo;
+  rec.aggressor_hi = aggressor_hi;
+  return rec;
+}
+
+}  // namespace
 
 std::uint64_t discover_row_stride(kernel::System& system, kernel::Task& task,
                                   vm::VirtAddr base, std::uint64_t limit) {
@@ -43,20 +62,23 @@ Templater::Templater(kernel::System& system, kernel::Task& attacker,
     : system_(&system),
       attacker_(&attacker),
       config_(config),
-      row_bytes_(system.dram().geometry().row_bytes) {
+      row_bytes_(system.dram().geometry().row_bytes),
+      row_(row_bytes_) {
   EXPLFRAME_CHECK(config.buffer_bytes >= 4 * row_bytes_);
 }
 
-void Templater::allocate_buffer() {
-  buffer_va_ = system_->sys_mmap(*attacker_, config_.buffer_bytes);
-  buffer_pages_ = config_.buffer_bytes / kPageSize;
+bool Templater::allocate_buffer() {
+  const vm::VirtAddr va = system_->sys_mmap(*attacker_, config_.buffer_bytes);
   // Fault every page in, in ascending order: on a fresh buddy allocator
-  // this yields a mostly physically-contiguous buffer.
-  for (std::uint64_t p = 0; p < buffer_pages_; ++p) {
-    const std::uint8_t b = 0xFF;
-    EXPLFRAME_CHECK(
-        system_->mem_write(*attacker_, buffer_va_ + p * kPageSize, {&b, 1}));
+  // this yields a mostly physically-contiguous buffer. A machine too small
+  // for the buffer runs out of frames part-way (an OOM kill, in Linux).
+  const std::uint64_t pages = config_.buffer_bytes / kPageSize;
+  for (std::uint64_t p = 0; p < pages; ++p) {
+    if (!system_->mem_fill(*attacker_, va + p * kPageSize, 1, 0xFF))
+      return false;
   }
+  buffer_va_ = va;
+  buffer_pages_ = pages;
   row_stride_ = discover_row_stride(*system_, *attacker_, buffer_va_,
                                     config_.buffer_bytes);
   // Under XOR bank hashing no single stride conflicts; the contiguous
@@ -65,6 +87,15 @@ void Templater::allocate_buffer() {
       row_stride_ != 0 ||
           config_.strategy == TemplateStrategy::kRandomPairs,
       "could not discover the bank stride by timing");
+  return true;
+}
+
+template <typename Emit>
+void Templater::scan_row(vm::VirtAddr va, std::uint64_t len,
+                         std::uint8_t pattern, Emit&& emit) {
+  const std::span<std::uint8_t> row(row_.data(), len);
+  system_->mem_read(*attacker_, va, row);
+  for_each_flipped_bit(row, pattern, emit);
 }
 
 void Templater::probe_row(vm::VirtAddr target_row_va, std::uint8_t pattern,
@@ -74,38 +105,21 @@ void Templater::probe_row(vm::VirtAddr target_row_va, std::uint8_t pattern,
 
   // Fill target row with `pattern`, aggressor rows with its complement
   // (stripe patterns maximise coupling).
-  std::vector<std::uint8_t> victim_fill(row_bytes_, pattern);
-  std::vector<std::uint8_t> agg_fill(row_bytes_,
-                                     static_cast<std::uint8_t>(~pattern));
-  system_->mem_write(*attacker_, target_row_va,
-                     {victim_fill.data(), victim_fill.size()});
-  system_->mem_write(*attacker_, agg_lo, {agg_fill.data(), agg_fill.size()});
-  system_->mem_write(*attacker_, agg_hi, {agg_fill.data(), agg_fill.size()});
+  const auto anti = static_cast<std::uint8_t>(~pattern);
+  system_->mem_fill(*attacker_, target_row_va, row_bytes_, pattern);
+  system_->mem_fill(*attacker_, agg_lo, row_bytes_, anti);
+  system_->mem_fill(*attacker_, agg_hi, row_bytes_, anti);
 
   // Hammer on the batched-activation path (identical to per-access).
   const vm::VirtAddr aggressors[2] = {agg_lo, agg_hi};
   system_->hammer_burst(*attacker_, aggressors, config_.hammer_iterations);
 
   // Scan the target row for bits that changed.
-  std::vector<std::uint8_t> readback(row_bytes_);
-  system_->mem_read(*attacker_, target_row_va,
-                    {readback.data(), readback.size()});
-  for (std::uint32_t off = 0; off < row_bytes_; ++off) {
-    const std::uint8_t delta =
-        static_cast<std::uint8_t>(readback[off] ^ pattern);
-    if (delta == 0) continue;
-    for (std::uint8_t bit = 0; bit < 8; ++bit) {
-      if (((delta >> bit) & 1u) == 0) continue;
-      FlipRecord rec;
-      rec.page_va = target_row_va + (off / kPageSize) * kPageSize;
-      rec.offset = off % kPageSize;
-      rec.bit = bit;
-      rec.to_one = ((readback[off] >> bit) & 1u) != 0;
-      rec.aggressor_lo = agg_lo;
-      rec.aggressor_hi = agg_hi;
-      report.flips.push_back(rec);
-    }
-  }
+  scan_row(target_row_va, row_bytes_, pattern,
+           [&](std::size_t off, std::uint8_t bit, bool to_one) {
+             report.flips.push_back(
+                 flip_at(target_row_va, off, bit, to_one, agg_lo, agg_hi));
+           });
 }
 
 TemplateReport Templater::scan() { return scan_until(nullptr); }
@@ -132,16 +146,12 @@ TemplateReport Templater::scan_random_pairs(
 
   // Work one polarity at a time over the whole buffer: fill, hammer random
   // same-bank pairs, rescan after every session.
-  std::vector<std::uint8_t> pattern_buf;
-  std::vector<std::uint8_t> readback(config_.buffer_bytes);
   std::vector<vm::VirtAddr> flip_pages;
   const int passes = config_.both_polarities ? 2 : 1;
   bool done = false;
   for (int pass = 0; pass < passes && !done; ++pass) {
     const std::uint8_t pattern = pass == 0 ? 0xFF : 0x00;
-    pattern_buf.assign(config_.buffer_bytes, pattern);
-    system_->mem_write(*attacker_, buffer_va_,
-                       {pattern_buf.data(), pattern_buf.size()});
+    system_->mem_fill(*attacker_, buffer_va_, config_.buffer_bytes, pattern);
     for (std::uint64_t session = 0; session < budget && !done; ++session) {
       // Find a timing-verified same-bank pair of distinct rows.
       vm::VirtAddr a = 0, b = 0;
@@ -166,33 +176,32 @@ TemplateReport Templater::scan_random_pairs(
       const vm::VirtAddr aggressors[2] = {a, b};
       system_->hammer_burst(*attacker_, aggressors, config_.hammer_iterations);
 
-      // Full-buffer rescan: any byte differing from the pattern (outside
-      // the aggressor rows themselves, which the probe loop dirtied the
-      // row buffers of, not the data) is a new flip.
-      system_->mem_read(*attacker_, buffer_va_,
-                        {readback.data(), readback.size()});
-      for (std::uint64_t off = 0; off < readback.size(); ++off) {
-        const std::uint8_t delta =
-            static_cast<std::uint8_t>(readback[off] ^ pattern);
-        if (delta == 0) continue;
-        for (std::uint8_t bit = 0; bit < 8; ++bit) {
-          if (((delta >> bit) & 1u) == 0) continue;
-          FlipRecord rec;
-          rec.page_va = buffer_va_ + (off / kPageSize) * kPageSize;
-          rec.offset = static_cast<std::uint32_t>(off % kPageSize);
-          rec.bit = bit;
-          rec.to_one = ((readback[off] >> bit) & 1u) != 0;
-          rec.aggressor_lo = std::min(a, b);
-          rec.aggressor_hi = std::max(a, b);
+      // Full-buffer rescan, a row at a time: any byte differing from the
+      // pattern (outside the aggressor rows themselves, which the probe
+      // loop dirtied the row buffers of, not the data) is a new flip.
+      // Restoring a byte cannot change a later row's readback: a write
+      // clears only its own bytes' live flips, and no ECC word straddles
+      // two word-aligned rows.
+      for (std::uint64_t base = 0; base < config_.buffer_bytes;
+           base += row_bytes_) {
+        const std::uint64_t len =
+            std::min<std::uint64_t>(row_bytes_, config_.buffer_bytes - base);
+        std::uint64_t restored = ~std::uint64_t{0};
+        scan_row(buffer_va_ + base, len, pattern,
+                 [&](std::size_t off, std::uint8_t bit, bool to_one) {
+          const FlipRecord rec = flip_at(buffer_va_, base + off, bit, to_one,
+                                         std::min(a, b), std::max(a, b));
           report.flips.push_back(rec);
-          bool known = false;
-          for (const vm::VirtAddr pv : flip_pages) known |= pv == rec.page_va;
-          if (!known) flip_pages.push_back(rec.page_va);
+          if (std::find(flip_pages.begin(), flip_pages.end(), rec.page_va) ==
+              flip_pages.end())
+            flip_pages.push_back(rec.page_va);
           if (good && good(rec)) done = true;
-        }
-        // Restore the pattern so the flip is not double-counted.
-        std::uint8_t fix = pattern;
-        system_->mem_write(*attacker_, buffer_va_ + off, {&fix, 1});
+          // Restore the pattern so the flip is not double-counted.
+          if (off != restored) {
+            system_->mem_fill(*attacker_, buffer_va_ + base + off, 1, pattern);
+            restored = off;
+          }
+        });
       }
       if (config_.stop_after != 0 && flip_pages.size() >= config_.stop_after)
         done = true;
@@ -251,9 +260,9 @@ TemplateReport Templater::scan_contiguous(
     bool found_good = false;
     for (std::size_t i = before; i < report.flips.size(); ++i) {
       const vm::VirtAddr pv = report.flips[i].page_va;
-      bool known = false;
-      for (const vm::VirtAddr existing : flip_pages) known |= existing == pv;
-      if (!known) flip_pages.push_back(pv);
+      if (std::find(flip_pages.begin(), flip_pages.end(), pv) ==
+          flip_pages.end())
+        flip_pages.push_back(pv);
       if (good && good(report.flips[i])) found_good = true;
     }
     if (found_good) break;

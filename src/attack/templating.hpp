@@ -10,8 +10,11 @@
 // guess with the timing channel first.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "kernel/system.hpp"
@@ -77,6 +80,33 @@ struct TemplateReport {
   SimTime elapsed = 0;
 };
 
+/// Visit every bit of `data` that differs from a fill of `pattern`, as
+/// emit(offset, bit, to_one) in ascending (offset, bit) order — the
+/// templater's readback scan. Compares a 64-bit word at a time against the
+/// broadcast pattern and skips equal words; only a differing word, and a
+/// tail shorter than a word, is looked at byte by byte.
+template <typename Emit>
+void for_each_flipped_bit(std::span<const std::uint8_t> data,
+                          std::uint8_t pattern, Emit&& emit) {
+  const auto scan_byte = [&](std::size_t off) {
+    unsigned delta = static_cast<unsigned>(data[off] ^ pattern);
+    while (delta != 0) {
+      const auto bit = static_cast<std::uint8_t>(std::countr_zero(delta));
+      emit(off, bit, ((data[off] >> bit) & 1u) != 0);
+      delta &= delta - 1;
+    }
+  };
+  const std::uint64_t broadcast = 0x0101010101010101ULL * pattern;
+  std::size_t off = 0;
+  for (; off + 8 <= data.size(); off += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, data.data() + off, sizeof word);
+    if (word == broadcast) continue;
+    for (std::size_t b = off; b < off + 8; ++b) scan_byte(b);
+  }
+  for (; off < data.size(); ++off) scan_byte(off);
+}
+
 /// Discover the same-bank row stride of the machine purely through the
 /// row-conflict timing channel: the smallest power-of-two stride at which
 /// `base` and `base + stride` keep evicting each other's row buffer. On the
@@ -94,7 +124,9 @@ class Templater {
             const TemplateConfig& config);
 
   /// Allocate and fault in the attack buffer. Must be called once first.
-  void allocate_buffer();
+  /// Returns false when a page cannot be faulted in (the machine is out of
+  /// memory); the templater cannot scan then.
+  [[nodiscard]] bool allocate_buffer();
 
   /// Scan the buffer for hammerable pages.
   TemplateReport scan();
@@ -122,6 +154,12 @@ class Templater {
   /// Hammer the pair and check the candidate row's pages for flips.
   void probe_row(vm::VirtAddr target_row_va, std::uint8_t pattern,
                  TemplateReport& report);
+  /// Read [va, va + len) (len <= row_bytes) into the scratch row through
+  /// the attacker's view and call emit(offset, bit, to_one) for every bit
+  /// that differs from `pattern` (see for_each_flipped_bit).
+  template <typename Emit>
+  void scan_row(vm::VirtAddr va, std::uint64_t len, std::uint8_t pattern,
+                Emit&& emit);
 
   TemplateReport scan_contiguous(
       const std::function<bool(const FlipRecord&)>& good);
@@ -135,6 +173,7 @@ class Templater {
   std::uint64_t buffer_pages_ = 0;
   std::uint32_t row_bytes_ = 0;
   std::uint64_t row_stride_ = 0;
+  std::vector<std::uint8_t> row_;  ///< Readback scratch, one row.
 };
 
 }  // namespace explframe::attack

@@ -216,40 +216,49 @@ bool System::touch(Task& task, vm::VirtAddr va) {
   return handle_fault(task, page);
 }
 
-bool System::mem_write(Task& task, vm::VirtAddr va,
-                       std::span<const std::uint8_t> in) {
-  std::size_t done = 0;
-  while (done < in.size()) {
+template <typename Op>
+bool System::for_each_page_chunk(Task& task, vm::VirtAddr va,
+                                 std::uint64_t len, Op&& op) {
+  std::uint64_t done = 0;
+  while (done < len) {
     const vm::VirtAddr cur = va + done;
     const vm::VirtAddr page = cur & ~vm::VirtAddr{kPageSize - 1};
     if (!touch(task, cur)) return false;
     const vm::Pte* pte = task.space().page_table().find(page);
     EXPLFRAME_CHECK(pte != nullptr);
-    const std::size_t off = cur - page;
-    const std::size_t chunk = std::min(in.size() - done, kPageSize - off);
-    dram_->write(static_cast<dram::PhysAddr>(pte->pfn) * kPageSize + off,
-                 in.subspan(done, chunk));
+    const std::uint64_t off = cur - page;
+    const std::uint64_t chunk = std::min(len - done, kPageSize - off);
+    op(static_cast<dram::PhysAddr>(pte->pfn) * kPageSize + off, done, chunk);
     done += chunk;
   }
   return true;
 }
 
+bool System::mem_write(Task& task, vm::VirtAddr va,
+                       std::span<const std::uint8_t> in) {
+  return for_each_page_chunk(
+      task, va, in.size(),
+      [&](dram::PhysAddr pa, std::uint64_t done, std::uint64_t chunk) {
+        dram_->write(pa, in.subspan(done, chunk));
+      });
+}
+
 bool System::mem_read(Task& task, vm::VirtAddr va,
                       std::span<std::uint8_t> out) {
-  std::size_t done = 0;
-  while (done < out.size()) {
-    const vm::VirtAddr cur = va + done;
-    const vm::VirtAddr page = cur & ~vm::VirtAddr{kPageSize - 1};
-    if (!touch(task, cur)) return false;
-    const vm::Pte* pte = task.space().page_table().find(page);
-    EXPLFRAME_CHECK(pte != nullptr);
-    const std::size_t off = cur - page;
-    const std::size_t chunk = std::min(out.size() - done, kPageSize - off);
-    dram_->read(static_cast<dram::PhysAddr>(pte->pfn) * kPageSize + off,
-                out.subspan(done, chunk));
-    done += chunk;
-  }
-  return true;
+  return for_each_page_chunk(
+      task, va, out.size(),
+      [&](dram::PhysAddr pa, std::uint64_t done, std::uint64_t chunk) {
+        dram_->read(pa, out.subspan(done, chunk));
+      });
+}
+
+bool System::mem_fill(Task& task, vm::VirtAddr va, std::uint64_t len,
+                      std::uint8_t value) {
+  return for_each_page_chunk(
+      task, va, len,
+      [&](dram::PhysAddr pa, std::uint64_t, std::uint64_t chunk) {
+        dram_->fill(pa, value, chunk);
+      });
 }
 
 SimTime System::uncached_access(Task& task, vm::VirtAddr va) {

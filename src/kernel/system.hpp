@@ -90,6 +90,11 @@ class System : public snap::Restorable {
   /// false on an invalid access (segfault) or allocation failure (OOM).
   bool mem_write(Task& task, vm::VirtAddr va, std::span<const std::uint8_t> in);
   bool mem_read(Task& task, vm::VirtAddr va, std::span<std::uint8_t> out);
+  /// Set `len` bytes at `va` to `value` — what mem_write of a buffer of
+  /// `value`s does (same demand faults, DRAM bytes, ECC live-flip clearing
+  /// and memory-epoch bumps) without building the source buffer.
+  bool mem_fill(Task& task, vm::VirtAddr va, std::uint64_t len,
+                std::uint8_t value);
   bool touch(Task& task, vm::VirtAddr va);  ///< Fault one page in.
 
   // ---- Uncached access (timing/hammer path) -------------------------------
@@ -133,6 +138,14 @@ class System : public snap::Restorable {
 
  private:
   bool handle_fault(Task& task, vm::VirtAddr page_va);
+  /// The cached data path's page walk: for each page-bounded chunk of
+  /// [va, va + len), in order, demand-fault the page and call
+  /// op(phys, done, chunk) with the chunk's physical address, its offset
+  /// into the range and its length. Returns false at the first page that
+  /// is invalid or cannot be allocated (earlier chunks stay done).
+  template <typename Op>
+  bool for_each_page_chunk(Task& task, vm::VirtAddr va, std::uint64_t len,
+                           Op&& op);
   mm::Pfn alloc_user_frame(Task& task);
   vm::FrameClient table_frame_client(std::int32_t task_id,
                                      std::uint32_t spawn_cpu);

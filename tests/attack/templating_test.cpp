@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
 namespace explframe::attack {
 namespace {
 
@@ -26,11 +29,86 @@ TemplateConfig fast_template() {
   return t;
 }
 
+using BitDelta = std::tuple<std::size_t, std::uint8_t, bool>;  // off, bit, to_one
+
+std::vector<BitDelta> byte_scan(const std::vector<std::uint8_t>& data,
+                                std::uint8_t pattern) {
+  std::vector<BitDelta> out;
+  for (std::size_t off = 0; off < data.size(); ++off)
+    for (std::uint8_t bit = 0; bit < 8; ++bit)
+      if ((((data[off] ^ pattern) >> bit) & 1u) != 0)
+        out.emplace_back(off, bit, ((data[off] >> bit) & 1u) != 0);
+  return out;
+}
+
+std::vector<BitDelta> word_scan(const std::vector<std::uint8_t>& data,
+                                std::uint8_t pattern) {
+  std::vector<BitDelta> out;
+  for_each_flipped_bit(
+      std::span<const std::uint8_t>(data.data(), data.size()), pattern,
+      [&](std::size_t off, std::uint8_t bit, bool to_one) {
+        out.emplace_back(off, bit, to_one);
+      });
+  return out;
+}
+
+TEST(FlippedBitScan, MatchesTheByteByByteReference) {
+  // Row lengths: the default 8 KiB row, one with a byte tail, sub-word.
+  for (const std::size_t len : {std::size_t{8192}, std::size_t{8189},
+                                std::size_t{5}}) {
+    for (const std::uint8_t pattern : {std::uint8_t{0xFF}, std::uint8_t{0x00},
+                                       std::uint8_t{0xA5}}) {
+      std::vector<std::uint8_t> row(len, pattern);
+      EXPECT_TRUE(word_scan(row, pattern).empty());
+      const auto toggle = [&](std::size_t off, std::uint8_t mask) {
+        if (off < len) row[off] ^= mask;
+      };
+      // Word edges: first byte, last of word 0, first of word 1, last byte.
+      toggle(0, 0x01);
+      toggle(7, 0x80);
+      toggle(8, 0x10);
+      toggle(len - 1, 0x40);
+      toggle(100, 0b1010'1001);  // several bits in one byte
+      for (std::size_t b = 40; b < 48; ++b)  // every byte of one word
+        toggle(b, static_cast<std::uint8_t>(1u << (b % 8)));
+      const auto expected = byte_scan(row, pattern);
+      ASSERT_FALSE(expected.empty());
+      EXPECT_EQ(word_scan(row, pattern), expected)
+          << "len " << len << " pattern " << int(pattern);
+    }
+  }
+}
+
+TEST(FlippedBitScan, ReportsBothPolarities) {
+  // Pattern 0xFF finds 1->0 flips, pattern 0x00 finds 0->1 flips.
+  std::vector<std::uint8_t> ones(64, 0xFF);
+  ones[9] = 0xFB;
+  EXPECT_EQ(word_scan(ones, 0xFF),
+            (std::vector<BitDelta>{{9, std::uint8_t{2}, false}}));
+  std::vector<std::uint8_t> zeros(64, 0x00);
+  zeros[63] = 0x81;
+  EXPECT_EQ(word_scan(zeros, 0x00),
+            (std::vector<BitDelta>{{63, std::uint8_t{0}, true},
+                                   {63, std::uint8_t{7}, true}}));
+}
+
+TEST(FlippedBitScan, RandomDeltasMatchTheReference) {
+  Rng rng(5);
+  for (int round = 0; round < 50; ++round) {
+    const std::size_t len = 1 + rng.uniform(300);
+    const auto pattern = static_cast<std::uint8_t>(rng.uniform(256));
+    std::vector<std::uint8_t> row(len, pattern);
+    for (std::uint64_t k = rng.uniform(12); k > 0; --k)
+      row[rng.uniform(len)] ^= static_cast<std::uint8_t>(1u << rng.uniform(8));
+    EXPECT_EQ(word_scan(row, pattern), byte_scan(row, pattern));
+  }
+}
+
 TEST(Templater, StrideDiscoveryFindsBankSweep) {
   kernel::System sys(hammerable_cfg());
   kernel::Task& attacker = sys.spawn("attacker", 0);
   Templater templater(sys, attacker, fast_template());
-  templater.allocate_buffer();
+  ASSERT_TRUE(templater.allocate_buffer());
   // With 8 banks and 8 KiB rows, same-bank neighbouring rows are one bank
   // sweep (64 KiB) apart in physical (and hence buffer-VA) space.
   EXPECT_EQ(templater.row_stride(),
@@ -42,7 +120,7 @@ TEST(Templater, BufferIsMostlyPhysicallyContiguous) {
   kernel::System sys(hammerable_cfg());
   kernel::Task& attacker = sys.spawn("attacker", 0);
   Templater templater(sys, attacker, fast_template());
-  templater.allocate_buffer();
+  ASSERT_TRUE(templater.allocate_buffer());
   const vm::VirtAddr base = templater.buffer_va();
   std::uint64_t contiguous = 0;
   for (std::uint64_t p = 0; p + 1 < templater.buffer_pages(); ++p) {
@@ -58,7 +136,7 @@ TEST(Templater, ScanFindsFlipsInVulnerableBuffer) {
   kernel::System sys(hammerable_cfg());
   kernel::Task& attacker = sys.spawn("attacker", 0);
   Templater templater(sys, attacker, fast_template());
-  templater.allocate_buffer();
+  ASSERT_TRUE(templater.allocate_buffer());
   TemplateConfig cfg = fast_template();
   (void)cfg;
   const auto report = templater.scan();
@@ -78,7 +156,7 @@ TEST(Templater, FlipsMatchGroundTruthWeakCells) {
   kernel::System sys(hammerable_cfg());
   kernel::Task& attacker = sys.spawn("attacker", 0);
   Templater templater(sys, attacker, fast_template());
-  templater.allocate_buffer();
+  ASSERT_TRUE(templater.allocate_buffer());
   const auto report = templater.scan();
   ASSERT_GT(report.flips.size(), 0u);
   for (const auto& f : report.flips) {
@@ -103,7 +181,7 @@ TEST(Templater, StopAfterLimitsScan) {
   TemplateConfig cfg = fast_template();
   cfg.stop_after = 1;
   Templater templater(sys, attacker, cfg);
-  templater.allocate_buffer();
+  ASSERT_TRUE(templater.allocate_buffer());
   const auto report = templater.scan();
   EXPECT_EQ(report.pages_with_flips, 1u);
   // A full scan of the 2 MiB buffer would visit ~254 rows.
@@ -114,7 +192,7 @@ TEST(Templater, ScanUntilPredicateStopsEarly) {
   kernel::System sys(hammerable_cfg());
   kernel::Task& attacker = sys.spawn("attacker", 0);
   Templater templater(sys, attacker, fast_template());
-  templater.allocate_buffer();
+  ASSERT_TRUE(templater.allocate_buffer());
   const auto report = templater.scan_until(
       [](const FlipRecord& f) { return f.offset < kPageSize / 2; });
   bool found = false;
@@ -128,7 +206,7 @@ TEST(Templater, RehammerReproducesFlip) {
   kernel::System sys(hammerable_cfg());
   kernel::Task& attacker = sys.spawn("attacker", 0);
   Templater templater(sys, attacker, fast_template());
-  templater.allocate_buffer();
+  ASSERT_TRUE(templater.allocate_buffer());
   const auto report = templater.scan();
   ASSERT_GT(report.flips.size(), 0u);
   const FlipRecord& f = report.flips.front();
@@ -153,7 +231,7 @@ TEST(Templater, RandomPairStrategyFindsFlips) {
   cfg.max_rows = 96;  // hammer sessions
   cfg.seed = 5;
   Templater templater(sys, attacker, cfg);
-  templater.allocate_buffer();
+  ASSERT_TRUE(templater.allocate_buffer());
   const auto report = templater.scan();
   EXPECT_GT(report.flips.size(), 0u);
   for (const auto& f : report.flips) {
@@ -173,7 +251,7 @@ TEST(Templater, RandomPairsWorkUnderXorBankHashing) {
   cfg.strategy = TemplateStrategy::kRandomPairs;
   cfg.max_rows = 96;
   Templater templater(sys, attacker, cfg);
-  templater.allocate_buffer();
+  ASSERT_TRUE(templater.allocate_buffer());
   const auto report = templater.scan();
   EXPECT_GT(report.flips.size(), 0u);
 }
@@ -187,7 +265,7 @@ TEST(Templater, ContiguousStrategyMisledByXorBankHashing) {
   kernel::System sys(c);
   kernel::Task& attacker = sys.spawn("attacker", 0);
   Templater templater(sys, attacker, fast_template());
-  templater.allocate_buffer();
+  ASSERT_TRUE(templater.allocate_buffer());
   // Discovered stride is a whole bank-sweep times the bank count.
   EXPECT_EQ(templater.row_stride(),
             static_cast<std::uint64_t>(sys.dram().geometry().banks) *
@@ -205,7 +283,7 @@ TEST(Templater, MaxRowsBudgetRespected) {
   TemplateConfig cfg = fast_template();
   cfg.max_rows = 7;
   Templater templater(sys, attacker, cfg);
-  templater.allocate_buffer();
+  ASSERT_TRUE(templater.allocate_buffer());
   const auto report = templater.scan();
   EXPECT_EQ(report.rows_scanned, 7u);
 }
@@ -218,7 +296,7 @@ TEST(Templater, NoFlipsOnHealthyDram) {
   TemplateConfig cfg = fast_template();
   cfg.buffer_bytes = 512 * kKiB;  // keep runtime low
   Templater templater(sys, attacker, cfg);
-  templater.allocate_buffer();
+  ASSERT_TRUE(templater.allocate_buffer());
   const auto report = templater.scan();
   EXPECT_EQ(report.flips.size(), 0u);
   EXPECT_EQ(report.pages_with_flips, 0u);

@@ -205,5 +205,94 @@ TEST(System, DataPersistsInDram) {
   EXPECT_EQ(sys.dram().read_byte(sys.phys_of(t, va + 5)), 0x77);
 }
 
+// mem_fill must be indistinguishable from mem_write of a buffer of the fill
+// byte: run both on identically built machines and compare what each left.
+struct FillOutcome {
+  std::vector<mm::Pfn> pfns;  ///< Frame behind each page, in page order.
+  std::uint64_t page_faults = 0;
+  std::uint64_t epoch_advance = 0;
+  std::vector<std::uint8_t> bytes;  ///< The whole mapping, read back.
+};
+
+FillOutcome fill_outcome(bool use_fill, vm::VirtAddr offset,
+                         std::uint64_t len, std::uint8_t value) {
+  constexpr std::uint64_t kPages = 4;
+  System sys(small_cfg());
+  Task& t = sys.spawn("filler", 0);
+  const vm::VirtAddr va = sys.sys_mmap(t, kPages * kPageSize);
+  FillOutcome o;
+  const std::uint64_t epoch = sys.memory_epoch();
+  if (use_fill) {
+    EXPECT_TRUE(sys.mem_fill(t, va + offset, len, value));
+  } else {
+    const std::vector<std::uint8_t> buf(len, value);
+    EXPECT_TRUE(sys.mem_write(t, va + offset, {buf.data(), buf.size()}));
+  }
+  o.epoch_advance = sys.memory_epoch() - epoch;
+  o.page_faults = sys.stats().page_faults;
+  for (std::uint64_t p = 0; p < kPages; ++p)
+    o.pfns.push_back(sys.translate(t, va + p * kPageSize));
+  o.bytes.resize(kPages * kPageSize);
+  EXPECT_TRUE(sys.mem_read(t, va, {o.bytes.data(), o.bytes.size()}));
+  return o;
+}
+
+TEST(System, MemFillMatchesMemWriteOfABroadcastBuffer) {
+  // Unaligned start, crossing two page boundaries, ending mid-page.
+  const vm::VirtAddr offset = 100;
+  const std::uint64_t len = 2 * kPageSize + 300;
+  const FillOutcome fill = fill_outcome(true, offset, len, 0xA5);
+  const FillOutcome write = fill_outcome(false, offset, len, 0xA5);
+  EXPECT_EQ(fill.bytes, write.bytes);
+  EXPECT_EQ(fill.pfns, write.pfns);  // same demand-fault order
+  EXPECT_EQ(fill.page_faults, write.page_faults);
+  EXPECT_GT(fill.epoch_advance, 0u);
+  EXPECT_EQ(fill.epoch_advance, write.epoch_advance);
+  // Exactly the range was set; the fourth page was never touched.
+  for (std::size_t i = 0; i < fill.bytes.size(); ++i) {
+    const bool inside = i >= offset && i < offset + len;
+    ASSERT_EQ(fill.bytes[i], inside ? 0xA5 : 0x00) << i;
+  }
+  EXPECT_EQ(fill.pfns[3], mm::kInvalidPfn);
+}
+
+TEST(System, MemFillClearsEccLiveFlipsLikeMemWrite) {
+  for (const bool use_fill : {true, false}) {
+    SystemConfig cfg = small_cfg();
+    cfg.dram.ecc.enabled = true;
+    System sys(cfg);
+    Task& t = sys.spawn("ecc", 0);
+    const vm::VirtAddr va = sys.sys_mmap(t, kPageSize);
+    ASSERT_TRUE(sys.mem_fill(t, va, kPageSize, 0x00));
+    // A live (ECC-tracked) flip in byte 64: reads correct it away...
+    sys.dram().inject_flip(sys.phys_of(t, va + 64), 3);
+    std::uint8_t b = 0xFF;
+    ASSERT_TRUE(sys.mem_read(t, va + 64, {&b, 1}));
+    EXPECT_EQ(b, 0x00);
+    const std::uint64_t corrected = sys.dram().ecc_corrected_bits();
+    EXPECT_GT(corrected, 0u);
+    // ...until a store over the byte replaces the cell's contents. Had the
+    // store left the live flip behind, the read would "correct" bit 3 of
+    // the fresh value.
+    if (use_fill) {
+      ASSERT_TRUE(sys.mem_fill(t, va + 60, 8, 0x11));
+    } else {
+      const std::uint8_t buf[8] = {0x11, 0x11, 0x11, 0x11,
+                                   0x11, 0x11, 0x11, 0x11};
+      ASSERT_TRUE(sys.mem_write(t, va + 60, buf));
+    }
+    ASSERT_TRUE(sys.mem_read(t, va + 64, {&b, 1}));
+    EXPECT_EQ(b, 0x11) << (use_fill ? "mem_fill" : "mem_write");
+    EXPECT_EQ(sys.dram().ecc_corrected_bits(), corrected);
+  }
+}
+
+TEST(System, MemFillOutsideVmaFails) {
+  System sys(small_cfg());
+  Task& t = sys.spawn("segv", 0);
+  EXPECT_FALSE(sys.mem_fill(t, 0xdead0000, 16, 0x01));
+  EXPECT_EQ(sys.stats().page_faults, 0u);
+}
+
 }  // namespace
 }  // namespace explframe::kernel

@@ -1,5 +1,6 @@
 // scenario::Scenario / Registry — the declarative experiment layer.
 #include "scenario/registry.hpp"
+#include "scenario/report.hpp"
 #include "scenario/scenario.hpp"
 
 #include <gtest/gtest.h>
@@ -150,6 +151,29 @@ TEST(Scenario, RejectsMemoryBelowTheGeometryMinimum) {
                   &error)
                   .has_value())
       << error;
+}
+
+TEST(Scenario, BufferTheMachineCannotHoldFailsTemplatingWithAReport) {
+  // buffer_mib = 63 on a 64 MiB machine passes the parser's
+  // [1, memory_mib) bound, but the kernel's and the victim's frames leave
+  // too few for the attack buffer: its fault-in runs out of memory. The
+  // trial must fail at templating and still report, not abort.
+  std::string text = builtin_scenario("quickstart").to_scn();
+  text.replace(text.find("buffer_mib = 4\n"), 15, "buffer_mib = 63\n");
+  std::string error;
+  const auto s = Scenario::from_scn(text, &error);
+  ASSERT_TRUE(s.has_value()) << error;
+  ASSERT_EQ(s->memory_mib, 64u);
+  ASSERT_EQ(s->buffer_mib, 63u);
+
+  const ScenarioResult result = run_scenario(*s);
+  ASSERT_EQ(result.aggregate.reports.size(), 1u);
+  const attack::CampaignReport& r = result.aggregate.reports.front();
+  EXPECT_FALSE(r.template_found);
+  EXPECT_EQ(r.rows_scanned, 0u);
+  EXPECT_EQ(r.failure_stage(), "templating");
+  EXPECT_FALSE(r.success);
+  EXPECT_NE(markdown_report(result).find("templating"), std::string::npos);
 }
 
 TEST(Scenario, RunnerConfigLowersEveryKnob) {
