@@ -13,6 +13,7 @@ namespace explframe::attack {
 
 std::string CampaignReport::failure_stage() const {
   if (success) return "none";
+  if (buffer_oom) return "out-of-memory";
   if (!template_found) return "templating";
   if (!steered) return "steering";
   if (!fault_injected) return "fault-injection";
@@ -116,7 +117,7 @@ TemplatedCampaign::TemplatedCampaign(kernel::System& system,
 
   // ------------------------------------------------------------ 1 TEMPLATE
   templater_ = std::make_unique<Templater>(system, *attacker_, templating_cfg);
-  const bool have_buffer = templater_->allocate_buffer();
+  partial_.buffer_oom = !templater_->allocate_buffer();
 
   const std::uint32_t table_off = victim_cfg.sbox_offset;
   const std::size_t table_size = cipher.table_size();
@@ -126,10 +127,11 @@ TemplatedCampaign::TemplatedCampaign(kernel::System& system,
     return cipher.usable_flip(f.offset - table_off, f.bit, f.to_one);
   };
 
-  // A buffer the machine could not fault in (OOM) fails templating
-  // without a scan.
-  const TemplateReport tmpl =
-      have_buffer ? templater_->scan_until(usable) : TemplateReport{};
+  // A buffer the machine could not fault in fails templating without a
+  // scan.
+  const TemplateReport tmpl = partial_.buffer_oom
+                                  ? TemplateReport{}
+                                  : templater_->scan_until(usable);
   partial_.rows_scanned = tmpl.rows_scanned;
   partial_.flips_found = tmpl.flips.size();
   for (const FlipRecord& f : tmpl.flips) {

@@ -94,6 +94,9 @@ struct CampaignReport {
   crypto::CipherKind cipher = crypto::CipherKind::kAes128;
 
   // Phase 1: templating.
+  /// The machine ran out of memory faulting in the attack buffer, so
+  /// templating never scanned (template_found stays false).
+  bool buffer_oom = false;
   bool template_found = false;
   std::uint64_t rows_scanned = 0;
   std::uint64_t flips_found = 0;

@@ -8,7 +8,61 @@
 
 namespace explframe::attack {
 
-Table CampaignAggregate::phase_table() const {
+TrialRow TrialRow::from_report(const CampaignReport& report) {
+  TrialRow row;
+  row.template_found = report.template_found;
+  row.rows_scanned = report.rows_scanned;
+  row.flips_found = report.flips_found;
+  row.steered = report.steered;
+  row.fault_injected = report.fault_injected;
+  row.fault_as_predicted = report.fault_as_predicted;
+  row.key_recovered = report.key_recovered;
+  row.ciphertexts_used = report.ciphertexts_used;
+  row.residual_search = report.residual_search;
+  row.success = report.success;
+  row.failure_stage = report.failure_stage();
+  row.total_time = report.total_time;
+  return row;
+}
+
+std::vector<std::pair<std::string, std::string>> TrialRow::csv_columns()
+    const {
+  return {{"template_found", Table::to_cell(template_found)},
+          {"rows_scanned", Table::to_cell(rows_scanned)},
+          {"flips_found", Table::to_cell(flips_found)},
+          {"steered", Table::to_cell(steered)},
+          {"fault_injected", Table::to_cell(fault_injected)},
+          {"fault_as_predicted", Table::to_cell(fault_as_predicted)},
+          {"key_recovered", Table::to_cell(key_recovered)},
+          {"ciphertexts_used", Table::to_cell(ciphertexts_used)},
+          {"residual_search", Table::to_cell(residual_search)},
+          {"success", Table::to_cell(success)},
+          {"failure_stage", failure_stage},
+          {"sim_seconds", Table::to_cell(sim_seconds())}};
+}
+
+void TrialStats::add(const TrialRow& row) {
+  ++trials;
+  templated += row.template_found;
+  steered += row.steered;
+  fault_injected += row.fault_injected;
+  key_recovered += row.key_recovered;
+  succeeded += row.success;
+  rows_scanned.add(static_cast<double>(row.rows_scanned));
+  if (row.success) ciphertexts_used.add(row.ciphertexts_used);
+  sim_seconds.add(row.sim_seconds());
+  ++failure_stages[row.failure_stage];
+}
+
+void TrialStats::add(const std::vector<TrialRow>& rows) {
+  for (const TrialRow& row : rows) add(row);
+}
+
+std::string TrialStats::success_fraction() const {
+  return std::to_string(succeeded) + "/" + std::to_string(trials);
+}
+
+Table TrialStats::phase_table() const {
   Table t({"phase", "success", "rate"});
   const auto pct = [&](std::uint32_t n) {
     const auto ci = wilson_interval(n, trials);
@@ -84,24 +138,14 @@ CampaignAggregate CampaignRunner::run() {
   // Aggregate serially, in trial order, so the aggregate is independent of
   // which worker ran which trial.
   CampaignAggregate agg;
-  agg.trials = config_.trials;
   agg.wall_seconds = wall.count();
-  for (CampaignReport& r : reports) {
-    agg.templated += r.template_found;
-    agg.steered += r.steered;
-    agg.fault_injected += r.fault_injected;
-    agg.key_recovered += r.key_recovered;
-    agg.succeeded += r.success;
-    agg.rows_scanned.add(static_cast<double>(r.rows_scanned));
-    if (r.success)
-      agg.ciphertexts_used.add(static_cast<double>(r.ciphertexts_used));
-    agg.sim_seconds.add(static_cast<double>(r.total_time) / kSecond);
+  for (const CampaignReport& r : reports) {
+    agg.add(TrialRow::from_report(r));
     agg.template_sim_seconds.add(static_cast<double>(r.template_time) /
                                  kSecond);
     agg.template_wall_seconds += r.template_wall_seconds;
-    ++agg.failure_stages[r.failure_stage()];
-    agg.reports.push_back(std::move(r));
   }
+  agg.reports = std::move(reports);
   return agg;
 }
 

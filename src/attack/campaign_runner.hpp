@@ -1,6 +1,8 @@
 // attack::CampaignRunner — executes N independent campaign trials on
 // parallel_for's worker pool (one task per trial) and aggregates the
-// per-phase outcome statistics.
+// per-phase outcome statistics. TrialRow and TrialStats, the per-trial
+// record and its accumulator, are shared with the scenario and sweep
+// report emitters.
 //
 // Each trial gets its own kernel::System (simulated machine) and its own
 // deterministically derived (system seed, campaign seed) pair, so results
@@ -18,6 +20,7 @@
 #include "kernel/system.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
+#include "support/units.hpp"
 
 namespace explframe::attack {
 
@@ -35,8 +38,40 @@ struct RunnerConfig {
   std::uint64_t seed = 1;
 };
 
-/// Aggregated outcome of a campaign sweep.
-struct CampaignAggregate {
+/// The per-trial outcome every report publishes: a CampaignReport
+/// restricted to the per-trial CSV columns. It is also the unit of sweep
+/// checkpoint serialization — every field round-trips losslessly as text,
+/// so a resumed sweep point emits the same bytes as a fresh one.
+struct TrialRow {
+  bool template_found = false;
+  std::uint64_t rows_scanned = 0;
+  std::uint64_t flips_found = 0;
+  bool steered = false;
+  bool fault_injected = false;
+  bool fault_as_predicted = false;
+  bool key_recovered = false;
+  std::uint32_t ciphertexts_used = 0;
+  std::uint32_t residual_search = 0;
+  bool success = false;
+  std::string failure_stage;  ///< CampaignReport::failure_stage() string.
+  SimTime total_time = 0;     ///< Simulated nanoseconds (exact integer).
+
+  /// Project a campaign report onto the published columns.
+  static TrialRow from_report(const CampaignReport& report);
+
+  double sim_seconds() const noexcept {
+    return static_cast<double>(total_time) / kSecond;
+  }
+  /// The per-trial CSV columns as (header, cell) pairs, in column order —
+  /// the one column list behind every per-trial CSV emitter.
+  std::vector<std::pair<std::string, std::string>> csv_columns() const;
+
+  bool operator==(const TrialRow&) const = default;
+};
+
+/// Per-phase tallies and samples over any set of trials — the one
+/// accumulator behind every aggregate table.
+struct TrialStats {
   std::uint32_t trials = 0;
   std::uint32_t templated = 0;
   std::uint32_t steered = 0;
@@ -47,6 +82,25 @@ struct CampaignAggregate {
   Samples rows_scanned;      ///< All trials.
   Samples ciphertexts_used;  ///< Successful trials only.
   Samples sim_seconds;       ///< Simulated attack time, all trials.
+  /// failure_stage -> count, including "none" for successes.
+  std::map<std::string, std::uint32_t> failure_stages;
+
+  void add(const TrialRow& row);
+  void add(const std::vector<TrialRow>& rows);  ///< Each row, in order.
+
+  double success_rate() const noexcept {
+    return trials > 0 ? static_cast<double>(succeeded) / trials : 0.0;
+  }
+  /// "succeeded/trials", the grid tables' success cell.
+  std::string success_fraction() const;
+
+  /// Per-phase success table (the EXP-T4-style bench output).
+  Table phase_table() const;
+};
+
+/// Aggregated outcome of a campaign sweep: the trial stats plus the
+/// reports they were built from and the host-side diagnostics.
+struct CampaignAggregate : TrialStats {
   /// Simulated templating time per trial — the slice of sim_seconds the
   /// snapshot/fork engine amortizes away when trials share a base.
   Samples template_sim_seconds;
@@ -54,8 +108,6 @@ struct CampaignAggregate {
   /// forked from one base repeat the shared run's value). Diagnostic only;
   /// never part of byte-stable emitters.
   double template_wall_seconds = 0.0;
-  /// failure_stage() -> count, including "none" for successes.
-  std::map<std::string, std::uint32_t> failure_stages;
 
   /// Per-trial reports in trial order (independent of worker scheduling).
   std::vector<CampaignReport> reports;
@@ -64,12 +116,6 @@ struct CampaignAggregate {
   double trials_per_second() const noexcept {
     return wall_seconds > 0.0 ? trials / wall_seconds : 0.0;
   }
-  double success_rate() const noexcept {
-    return trials > 0 ? static_cast<double>(succeeded) / trials : 0.0;
-  }
-
-  /// Per-phase success table (the EXP-T4-style bench output).
-  Table phase_table() const;
 };
 
 /// Executes a RunnerConfig; see the file comment for the determinism

@@ -137,8 +137,12 @@ std::string DebugSession::status() const {
   std::ostringstream out;
   out << "scenario " << scenario_name_ << ", trial " << trial_ << "\n";
   if (!template_found()) {
-    out << "templating found no usable flip (" << r.rows_scanned
-        << " rows scanned); nothing to debug\n";
+    if (r.buffer_oom)
+      out << "the attack buffer could not be faulted in (out of memory)";
+    else
+      out << "templating found no usable flip (" << r.rows_scanned
+          << " rows scanned)";
+    out << "; nothing to debug\n";
     return out.str();
   }
   out << "template: flip at page offset " << r.chosen.offset << " bit "

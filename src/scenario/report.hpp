@@ -33,7 +33,7 @@ ScenarioResult run_scenario(const Scenario& s,
 std::string markdown_report(const ScenarioResult& result);
 
 /// The per-scenario per-trial CSV (docs/results/<name>.csv): one row per
-/// trial with every CampaignReport field the tables aggregate.
+/// trial with the attack::TrialRow columns the sweep CSV also publishes.
 std::string csv_report(const ScenarioResult& result);
 
 /// The handbook index (docs/results/README.md): one summary row per

@@ -3,6 +3,7 @@
 #include <limits>
 
 #include "dram/geometry.hpp"
+#include "support/parallel.hpp"
 #include "support/units.hpp"
 
 namespace explframe::scenario {
@@ -227,6 +228,8 @@ std::optional<Scenario> Scenario::from_scn(const std::string& text,
     return fail("key 'name': missing or not a valid identifier");
   if (s.title.empty()) return fail("key 'title': missing");
   if (s.trials == 0) return fail("key 'trials': must be >= 1");
+  if (s.threads > kMaxThreads)
+    return fail("key 'threads': must be <= " + std::to_string(kMaxThreads));
   if (s.memory_mib > std::numeric_limits<std::uint64_t>::max() / kMiB)
     return fail("key 'memory_mib': " + std::to_string(s.memory_mib) +
                 " MiB overflows a 64-bit byte count");

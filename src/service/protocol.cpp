@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "support/config.hpp"
+#include "support/parallel.hpp"
 
 namespace explframe::service {
 
@@ -114,8 +115,9 @@ std::optional<JobRequest> JobRequest::parse(const std::string& line,
     } else if (key == "threads") {
       if (saw_threads) return fail("duplicate field 'threads'");
       const auto threads = parse_u64(value);
-      if (!threads || *threads > 256)
-        return fail("bad threads value '" + value + "' (want 0..256)");
+      if (!threads || *threads > kMaxThreads)
+        return fail("bad threads value '" + value + "' (want 0.." +
+                    std::to_string(kMaxThreads) + ")");
       request.threads = static_cast<std::uint32_t>(*threads);
       saw_threads = true;
     } else {

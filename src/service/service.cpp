@@ -312,16 +312,12 @@ bool Service::run_sweep_job(const Job& job, bool* cancelled,
   options.threads = job.request.threads;
   options.checkpoint_path = checkpoint_path(job.id);
   options.resume = true;  // A missing checkpoint is an empty one.
-  options.remove_checkpoint_on_success = true;
   options.cancel = &cancel_;
   options.fs = &fs();
   std::string run_error;
   const auto result = sweep::run_sweep(*spec, scenarios_, options, &run_error);
   if (!result) {
-    if (cancel_.load()) {
-      *cancelled = true;
-      return fail_with(error, run_error);
-    }
+    *cancelled = cancel_.load();
     return fail_with(error, run_error);
   }
   return finish(job, sweep::sweep_markdown(*result),

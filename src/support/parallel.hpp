@@ -17,6 +17,11 @@
 
 namespace explframe {
 
+/// The largest thread count any input (a .scn file, `explsim --threads`, a
+/// daemon request) may ask for. parallel_for clamps only to the task count,
+/// so every parser enforces this bound before a count reaches it.
+inline constexpr std::uint32_t kMaxThreads = 256;
+
 /// Run task(i) once for every i in [0, n) on `threads` workers, clamped to
 /// [1, n]; the calling thread is one of them. `stop` (may be empty) is
 /// polled before every claim — once it returns true no further task

@@ -3,73 +3,28 @@
 #include <algorithm>
 #include <filesystem>
 
-#include "support/check.hpp"
-#include "support/stats.hpp"
 #include "support/table.hpp"
-#include "support/units.hpp"
 
 namespace explframe::sweep {
 
-namespace {
-
-double sim_seconds(const TrialRow& trial) {
-  return static_cast<double>(trial.total_time) / kSecond;
-}
-
-/// The aggregate slice the tables publish for any set of trials.
-struct TrialStats {
-  std::uint32_t trials = 0;
-  std::uint32_t successes = 0;
-  Samples rows_scanned;      ///< All trials.
-  Samples ciphertexts_used;  ///< Successful trials only.
-  Samples sim_secs;          ///< All trials.
-
-  void add(const TrialRow& trial) {
-    ++trials;
-    if (trial.success) {
-      ++successes;
-      ciphertexts_used.add(trial.ciphertexts_used);
-    }
-    rows_scanned.add(static_cast<double>(trial.rows_scanned));
-    sim_secs.add(sim_seconds(trial));
-  }
-};
-
-TrialStats point_stats(const PointRecord& record) {
-  TrialStats stats;
-  for (const TrialRow& trial : record.trials) stats.add(trial);
-  return stats;
-}
-
-}  // namespace
+using attack::TrialStats;
 
 std::string sweep_csv(const SweepResult& result) {
   std::vector<std::string> headers{"point"};
   for (const Axis& axis : result.spec.axes) headers.push_back(axis.key);
-  for (const char* column :
-       {"trial", "template_found", "rows_scanned", "flips_found", "steered",
-        "fault_injected", "fault_as_predicted", "key_recovered",
-        "ciphertexts_used", "residual_search", "success", "failure_stage",
-        "sim_seconds"})
-    headers.emplace_back(column);
+  headers.emplace_back("trial");
+  for (const auto& [column, cell] : TrialRow{}.csv_columns())
+    headers.push_back(column);
 
   Table t(headers);
   for (const PointRecord& record : result.records) {
     const SweepPoint& point = result.points[record.index];
     for (std::size_t trial = 0; trial < record.trials.size(); ++trial) {
-      const TrialRow& r = record.trials[trial];
       std::vector<std::string> cells{Table::to_cell(record.index)};
       for (const auto& [key, value] : point.coords) cells.push_back(value);
-      for (const std::string& cell :
-           {Table::to_cell(trial), Table::to_cell(r.template_found),
-            Table::to_cell(r.rows_scanned), Table::to_cell(r.flips_found),
-            Table::to_cell(r.steered), Table::to_cell(r.fault_injected),
-            Table::to_cell(r.fault_as_predicted),
-            Table::to_cell(r.key_recovered),
-            Table::to_cell(r.ciphertexts_used),
-            Table::to_cell(r.residual_search), Table::to_cell(r.success),
-            r.failure_stage, Table::to_cell(sim_seconds(r))})
-        cells.push_back(cell);
+      cells.push_back(Table::to_cell(trial));
+      for (auto& [column, cell] : record.trials[trial].csv_columns())
+        cells.push_back(std::move(cell));
       t.add_row(std::move(cells));
     }
   }
@@ -106,14 +61,14 @@ std::string sweep_markdown(const SweepResult& result) {
   Table grid(headers);
   for (const PointRecord& record : result.records) {
     const SweepPoint& point = result.points[record.index];
-    const TrialStats stats = point_stats(record);
+    TrialStats stats;
+    stats.add(record.trials);
     std::vector<std::string> cells{Table::to_cell(record.index)};
     for (const auto& [key, value] : point.coords) cells.push_back(value);
-    cells.push_back(std::to_string(stats.successes) + "/" +
-                    std::to_string(stats.trials));
+    cells.push_back(stats.success_fraction());
     cells.push_back(Table::samples_cell(stats.ciphertexts_used));
     cells.push_back(Table::samples_cell(stats.rows_scanned));
-    cells.push_back(Table::samples_cell(stats.sim_secs));
+    cells.push_back(Table::samples_cell(stats.sim_seconds));
     grid.add_row(std::move(cells));
   }
   out += grid.render(TableFormat::kMarkdown);
@@ -131,10 +86,10 @@ std::string sweep_markdown(const SweepResult& result) {
       for (const PointRecord& record : result.records) {
         if (result.points[record.index].coords[a].second != value) continue;
         ++points;
-        for (const TrialRow& trial : record.trials) stats.add(trial);
+        stats.add(record.trials);
       }
       marginal.row(value, points, stats.trials,
-                   Table::rate_cell(stats.successes, stats.trials),
+                   Table::rate_cell(stats.succeeded, stats.trials),
                    Table::samples_cell(stats.ciphertexts_used),
                    Table::samples_cell(stats.rows_scanned));
     }
@@ -153,18 +108,15 @@ std::string sweep_markdown(const SweepResult& result) {
     for (const std::string& row_value : rows.values) {
       std::vector<std::string> cells{row_value};
       for (const std::string& col_value : cols.values) {
-        std::uint32_t successes = 0;
-        std::uint32_t trials = 0;
+        TrialStats stats;
         for (const PointRecord& record : result.records) {
           const SweepPoint& point = result.points[record.index];
           if (point.coords[0].second != row_value ||
               point.coords[1].second != col_value)
             continue;
-          trials += static_cast<std::uint32_t>(record.trials.size());
-          successes += record.successes();
+          stats.add(record.trials);
         }
-        cells.push_back(std::to_string(successes) + "/" +
-                        std::to_string(trials));
+        cells.push_back(stats.success_fraction());
       }
       pivot.add_row(std::move(cells));
     }
@@ -197,15 +149,10 @@ std::string sweeps_index(const std::vector<SweepResult>& results) {
       axes += "`" + axis.key + "` (" + std::to_string(axis.values.size()) +
               ")";
     }
-    std::uint32_t trials = 0;
-    std::uint32_t successes = 0;
-    for (const PointRecord& record : r.records) {
-      trials += static_cast<std::uint32_t>(record.trials.size());
-      successes += record.successes();
-    }
+    TrialStats stats;
+    for (const PointRecord& record : r.records) stats.add(record.trials);
     t.row("`" + r.spec.name + "`", r.spec.title, "`" + r.spec.base + "`",
-          axes, r.points.size(), trials,
-          std::to_string(successes) + "/" + std::to_string(trials),
+          axes, r.points.size(), stats.trials, stats.success_fraction(),
           "[md](" + r.spec.name + ".md), [csv](" + r.spec.name + ".csv)");
   }
   out += t.render(TableFormat::kMarkdown);

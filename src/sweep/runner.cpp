@@ -8,6 +8,7 @@
 #include <mutex>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "attack/campaign_runner.hpp"
@@ -26,12 +27,6 @@ bool set_error(std::string* error, const std::string& what) {
   return false;
 }
 
-std::optional<bool> parse_bool_field(const std::string& text) {
-  if (text == "1") return true;
-  if (text == "0") return false;
-  return std::nullopt;
-}
-
 std::vector<std::string> split(const std::string& text, char sep) {
   std::vector<std::string> out;
   std::size_t start = 0;
@@ -46,39 +41,49 @@ std::vector<std::string> split(const std::string& text, char sep) {
   }
 }
 
+/// Visit every checkpoint field of `row` in line order: `flag` for the
+/// booleans, `count` for the integers, `text` for the failure stage. The
+/// one field list both halves of the trial codec walk.
+template <typename Row, typename Flag, typename Count, typename Text>
+void for_each_trial_field(Row& row, Flag flag, Count count, Text text) {
+  flag(row.template_found);
+  count(row.rows_scanned);
+  count(row.flips_found);
+  flag(row.steered);
+  flag(row.fault_injected);
+  flag(row.fault_as_predicted);
+  flag(row.key_recovered);
+  count(row.ciphertexts_used);
+  count(row.residual_search);
+  flag(row.success);
+  text(row.failure_stage);
+  count(row.total_time);
+}
+
 std::optional<TrialRow> parse_trial(const std::string& text) {
   const auto fields = split(text, ',');
   if (fields.size() != 12) return std::nullopt;
   TrialRow row;
-  const auto tf = parse_bool_field(fields[0]);
-  const auto rows = parse_u64(fields[1]);
-  const auto flips = parse_u64(fields[2]);
-  const auto steered = parse_bool_field(fields[3]);
-  const auto injected = parse_bool_field(fields[4]);
-  const auto predicted = parse_bool_field(fields[5]);
-  const auto recovered = parse_bool_field(fields[6]);
-  const auto cts = parse_u64(fields[7]);
-  const auto residual = parse_u64(fields[8]);
-  const auto success = parse_bool_field(fields[9]);
-  const auto time = parse_u64(fields[11]);
-  if (!tf || !rows || !flips || !steered || !injected || !predicted ||
-      !recovered || !cts || !residual || !success || !time ||
-      fields[10].empty() ||
-      *cts > std::numeric_limits<std::uint32_t>::max() ||
-      *residual > std::numeric_limits<std::uint32_t>::max())
-    return std::nullopt;
-  row.template_found = *tf;
-  row.rows_scanned = *rows;
-  row.flips_found = *flips;
-  row.steered = *steered;
-  row.fault_injected = *injected;
-  row.fault_as_predicted = *predicted;
-  row.key_recovered = *recovered;
-  row.ciphertexts_used = static_cast<std::uint32_t>(*cts);
-  row.residual_search = static_cast<std::uint32_t>(*residual);
-  row.success = *success;
-  row.failure_stage = fields[10];
-  row.total_time = *time;
+  std::size_t next = 0;
+  bool ok = true;
+  for_each_trial_field(
+      row,
+      [&](bool& flag) {
+        const std::string& field = fields[next++];
+        ok = ok && (field == "0" || field == "1");
+        flag = field == "1";
+      },
+      [&](auto& count) {
+        using Count = std::remove_reference_t<decltype(count)>;
+        const auto value = parse_u64(fields[next++]);
+        ok = ok && value && *value <= std::numeric_limits<Count>::max();
+        if (ok) count = static_cast<Count>(*value);
+      },
+      [&](std::string& stage) {
+        stage = fields[next++];
+        ok = ok && !stage.empty();
+      });
+  if (!ok) return std::nullopt;
   return row;
 }
 
@@ -88,18 +93,9 @@ std::string serialize_trial(const TrialRow& row) {
     if (!out.empty()) out += ',';
     out += text;
   };
-  field(row.template_found ? "1" : "0");
-  field(std::to_string(row.rows_scanned));
-  field(std::to_string(row.flips_found));
-  field(row.steered ? "1" : "0");
-  field(row.fault_injected ? "1" : "0");
-  field(row.fault_as_predicted ? "1" : "0");
-  field(row.key_recovered ? "1" : "0");
-  field(std::to_string(row.ciphertexts_used));
-  field(std::to_string(row.residual_search));
-  field(row.success ? "1" : "0");
-  field(row.failure_stage);
-  field(std::to_string(row.total_time));
+  for_each_trial_field(
+      row, [&](bool flag) { field(flag ? "1" : "0"); },
+      [&](auto count) { field(std::to_string(count)); }, field);
   return out;
 }
 
@@ -224,23 +220,6 @@ class CheckpointWriter {
 
 }  // namespace
 
-TrialRow TrialRow::from_report(const attack::CampaignReport& report) {
-  TrialRow row;
-  row.template_found = report.template_found;
-  row.rows_scanned = report.rows_scanned;
-  row.flips_found = report.flips_found;
-  row.steered = report.steered;
-  row.fault_injected = report.fault_injected;
-  row.fault_as_predicted = report.fault_as_predicted;
-  row.key_recovered = report.key_recovered;
-  row.ciphertexts_used = report.ciphertexts_used;
-  row.residual_search = report.residual_search;
-  row.success = report.success;
-  row.failure_stage = report.failure_stage();
-  row.total_time = report.total_time;
-  return row;
-}
-
 std::string PointRecord::serialize() const {
   std::string out = "point " + std::to_string(index) + " " + id + " ";
   for (std::size_t i = 0; i < trials.size(); ++i) {
@@ -273,13 +252,6 @@ std::optional<PointRecord> PointRecord::parse(const std::string& line,
     record.trials.push_back(*trial);
   }
   return record;
-}
-
-std::uint32_t PointRecord::successes() const noexcept {
-  std::uint32_t n = 0;
-  for (const TrialRow& trial : trials)
-    if (trial.success) ++n;
-  return n;
 }
 
 std::optional<std::vector<PointRecord>> load_checkpoint(

@@ -46,38 +46,15 @@
 #include <string>
 #include <vector>
 
-#include "attack/campaign.hpp"
+#include "attack/campaign_runner.hpp"
 #include "io/fs.hpp"
 #include "scenario/registry.hpp"
-#include "support/units.hpp"
 #include "sweep/spec.hpp"
 
 namespace explframe::sweep {
 
-/// The per-trial outcome fields the sweep emitters publish — the sweep-side
-/// mirror of attack::CampaignReport restricted to the long-form CSV columns,
-/// and the unit of checkpoint serialization (everything here round-trips
-/// losslessly as text, so a resumed point emits the same bytes as a fresh
-/// one).
-struct TrialRow {
-  bool template_found = false;
-  std::uint64_t rows_scanned = 0;
-  std::uint64_t flips_found = 0;
-  bool steered = false;
-  bool fault_injected = false;
-  bool fault_as_predicted = false;
-  bool key_recovered = false;
-  std::uint32_t ciphertexts_used = 0;
-  std::uint32_t residual_search = 0;
-  bool success = false;
-  std::string failure_stage;  ///< CampaignReport::failure_stage() string.
-  SimTime total_time = 0;     ///< Simulated nanoseconds (exact integer).
-
-  /// Project a campaign report onto the published columns.
-  static TrialRow from_report(const attack::CampaignReport& report);
-
-  bool operator==(const TrialRow&) const = default;
-};
+/// The per-trial record a checkpoint stores and the emitters publish.
+using TrialRow = attack::TrialRow;
 
 /// One completed grid point: its position plus every trial's outcome. One
 /// PointRecord is one checkpoint line.
@@ -92,8 +69,6 @@ struct PointRecord {
   /// Inverse of serialize(). Nullopt + `error` on any malformed field.
   static std::optional<PointRecord> parse(const std::string& line,
                                           std::string* error = nullptr);
-
-  std::uint32_t successes() const noexcept;
 
   bool operator==(const PointRecord&) const = default;
 };

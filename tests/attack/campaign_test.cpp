@@ -2,7 +2,8 @@
 // the Campaign API redesign — AES and PRESENT flow through the same code
 // path, per-trial results are deterministic for a fixed master seed
 // (independent of thread count), and the aggregate matches the individual
-// trials it was built from.
+// trials it was built from — it is the shared TrialStats accumulator over
+// each report's TrialRow.
 #include "attack/campaign_runner.hpp"
 
 #include <gtest/gtest.h>
@@ -130,6 +131,73 @@ TEST(CampaignRunner, AggregateMatchesSingleTrialRuns) {
   std::uint32_t stage_total = 0;
   for (const auto& [stage, count] : agg.failure_stages) stage_total += count;
   EXPECT_EQ(stage_total, cfg.trials);
+}
+
+void expect_stats_equal(const TrialStats& a, const TrialStats& b) {
+  EXPECT_EQ(a.trials, b.trials);
+  EXPECT_EQ(a.templated, b.templated);
+  EXPECT_EQ(a.steered, b.steered);
+  EXPECT_EQ(a.fault_injected, b.fault_injected);
+  EXPECT_EQ(a.key_recovered, b.key_recovered);
+  EXPECT_EQ(a.succeeded, b.succeeded);
+  EXPECT_EQ(a.rows_scanned.values(), b.rows_scanned.values());
+  EXPECT_EQ(a.ciphertexts_used.values(), b.ciphertexts_used.values());
+  EXPECT_EQ(a.sim_seconds.values(), b.sim_seconds.values());
+  EXPECT_EQ(a.failure_stages, b.failure_stages);
+}
+
+TEST(CampaignRunner, AggregateIsTrialStatsOverItsOwnReports) {
+  const CampaignAggregate agg =
+      CampaignRunner(runner_cfg(crypto::CipherKind::kAes128, 3, 2)).run();
+  TrialStats stats;
+  for (const CampaignReport& r : agg.reports)
+    stats.add(TrialRow::from_report(r));
+  expect_stats_equal(agg, stats);
+}
+
+TEST(TrialStats, HandBuiltRowsTallyEachPhase) {
+  TrialRow success;
+  success.template_found = success.steered = success.fault_injected = true;
+  success.key_recovered = success.success = true;
+  success.rows_scanned = 12;
+  success.ciphertexts_used = 1536;
+  success.failure_stage = "none";
+  success.total_time = 2 * kSecond;
+
+  TrialRow steering = success;
+  steering.steered = steering.fault_injected = false;
+  steering.key_recovered = steering.success = false;
+  steering.rows_scanned = 30;
+  // A failed trial's count must never reach the ciphertexts sample.
+  steering.ciphertexts_used = 77;
+  steering.failure_stage = "steering";
+
+  TrialRow templating;
+  templating.rows_scanned = 64;
+  templating.failure_stage = "templating";
+  templating.total_time = kSecond;
+
+  TrialStats stats;
+  stats.add({success, steering, templating});
+  EXPECT_EQ(stats.trials, 3u);
+  EXPECT_EQ(stats.templated, 2u);
+  EXPECT_EQ(stats.steered, 1u);
+  EXPECT_EQ(stats.fault_injected, 1u);
+  EXPECT_EQ(stats.key_recovered, 1u);
+  EXPECT_EQ(stats.succeeded, 1u);
+  EXPECT_EQ(stats.success_fraction(), "1/3");
+  EXPECT_EQ(stats.ciphertexts_used.values(), std::vector<double>{1536.0});
+  EXPECT_EQ(stats.rows_scanned.values(),
+            (std::vector<double>{12.0, 30.0, 64.0}));
+  EXPECT_EQ(stats.sim_seconds.values(),
+            (std::vector<double>{2.0, 2.0, 1.0}));
+
+  std::uint32_t stage_total = 0;
+  for (const auto& [stage, count] : stats.failure_stages) stage_total += count;
+  EXPECT_EQ(stage_total, stats.trials);
+  EXPECT_EQ(stats.failure_stages,
+            (std::map<std::string, std::uint32_t>{
+                {"none", 1}, {"steering", 1}, {"templating", 1}}));
 }
 
 TEST(CampaignRunner, AesAndPresentShareTheCampaignPath) {

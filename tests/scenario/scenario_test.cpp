@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "support/parallel.hpp"
 #include "support/units.hpp"
+#include "sweep/runner.hpp"
 
 namespace explframe::scenario {
 namespace {
@@ -153,11 +155,25 @@ TEST(Scenario, RejectsMemoryBelowTheGeometryMinimum) {
       << error;
 }
 
+TEST(Scenario, RejectsMoreThreadsThanTheSharedBound) {
+  // Parse only: a .scn asking for more than kMaxThreads workers (say, with
+  // many trials) must be refused before any pool would start them.
+  const std::string base = "name = x\ntitle = t\ntrials = 1000\n";
+  std::string error;
+  EXPECT_FALSE(Scenario::from_scn(base + "threads = 257\n", &error)
+                   .has_value());
+  EXPECT_EQ(error, "key 'threads': must be <= 256");
+  const auto at_bound = Scenario::from_scn(base + "threads = 256\n", &error);
+  ASSERT_TRUE(at_bound.has_value()) << error;
+  EXPECT_EQ(at_bound->threads, kMaxThreads);
+}
+
 TEST(Scenario, BufferTheMachineCannotHoldFailsTemplatingWithAReport) {
   // buffer_mib = 63 on a 64 MiB machine passes the parser's
   // [1, memory_mib) bound, but the kernel's and the victim's frames leave
   // too few for the attack buffer: its fault-in runs out of memory. The
-  // trial must fail at templating and still report, not abort.
+  // trial must fail at templating under its own stage and still report,
+  // not abort.
   std::string text = builtin_scenario("quickstart").to_scn();
   text.replace(text.find("buffer_mib = 4\n"), 15, "buffer_mib = 63\n");
   std::string error;
@@ -169,11 +185,21 @@ TEST(Scenario, BufferTheMachineCannotHoldFailsTemplatingWithAReport) {
   const ScenarioResult result = run_scenario(*s);
   ASSERT_EQ(result.aggregate.reports.size(), 1u);
   const attack::CampaignReport& r = result.aggregate.reports.front();
+  EXPECT_TRUE(r.buffer_oom);
   EXPECT_FALSE(r.template_found);
   EXPECT_EQ(r.rows_scanned, 0u);
-  EXPECT_EQ(r.failure_stage(), "templating");
+  EXPECT_EQ(r.failure_stage(), "out-of-memory");
   EXPECT_FALSE(r.success);
-  EXPECT_NE(markdown_report(result).find("templating"), std::string::npos);
+  // The stage travels unchanged through the per-trial record, both
+  // reports and the sweep checkpoint.
+  const sweep::TrialRow row = sweep::TrialRow::from_report(r);
+  EXPECT_EQ(row.failure_stage, "out-of-memory");
+  EXPECT_NE(markdown_report(result).find("out-of-memory"), std::string::npos);
+  EXPECT_NE(csv_report(result).find(",out-of-memory,"), std::string::npos);
+  const sweep::PointRecord record{0, "p00", {row}};
+  const auto parsed = sweep::PointRecord::parse(record.serialize());
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->trials.front().failure_stage, "out-of-memory");
 }
 
 TEST(Scenario, RunnerConfigLowersEveryKnob) {

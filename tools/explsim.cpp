@@ -50,6 +50,7 @@
 #include "scenario/debug.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/report.hpp"
+#include "support/parallel.hpp"
 #include "support/table.hpp"
 #include "sweep/registry.hpp"
 #include "sweep/report.hpp"
@@ -136,6 +137,20 @@ bool write_file(const std::string& path, const std::string& content) {
            return io::write_file(io::real(), path, content);
          })
       .ok();
+}
+
+/// Write `<out_dir>/<name>.md` and `<out_dir>/<name>.csv` and say so; 1
+/// (after printing why) when either write fails, else 0.
+int write_reports(const std::string& out_dir, const std::string& name,
+                  const std::string& markdown, const std::string& csv) {
+  const std::string md_path = out_dir + "/" + name + ".md";
+  const std::string csv_path = out_dir + "/" + name + ".csv";
+  if (!write_file(md_path, markdown) || !write_file(csv_path, csv)) {
+    std::cerr << "explsim: cannot write reports under '" << out_dir << "'\n";
+    return 1;
+  }
+  std::cout << "wrote " << md_path << " and " << csv_path << "\n";
+  return 0;
 }
 
 /// True when a `run` operand names a file rather than a registry entry.
@@ -244,18 +259,9 @@ int cmd_run(const std::string& operand, std::uint32_t threads,
   if (!s) return 1;
   const ScenarioResult result = run_scenario(*s, threads);
   print_summary(result);
-  if (!out_dir.empty()) {
-    const std::string md = out_dir + "/" + s->name + ".md";
-    const std::string csv = out_dir + "/" + s->name + ".csv";
-    if (!write_file(md, markdown_report(result)) ||
-        !write_file(csv, csv_report(result))) {
-      std::cerr << "explsim: cannot write reports under '" << out_dir
-                << "'\n";
-      return 1;
-    }
-    std::cout << "wrote " << md << " and " << csv << "\n";
-  }
-  return 0;
+  if (out_dir.empty()) return 0;
+  return write_reports(out_dir, s->name, markdown_report(result),
+                       csv_report(result));
 }
 
 /// The `explsim debug` REPL over one scenario::DebugSession. A thin
@@ -418,8 +424,10 @@ std::optional<sweep::SweepResult> run_one_sweep(
   const std::size_t total = spec.point_count();
   options.on_point = [&](const sweep::SweepPoint& point,
                          const sweep::PointRecord& record, bool resumed) {
+    attack::TrialStats stats;
+    stats.add(record.trials);
     std::cout << "  [" << point.index + 1 << "/" << total << "] " << point.id
-              << ": " << record.successes() << "/" << record.trials.size()
+              << ": " << stats.success_fraction()
               << (resumed ? " (resumed from checkpoint)" : "") << "\n";
   };
   std::string error;
@@ -465,18 +473,9 @@ int cmd_sweep_run(const std::string& operand, std::uint32_t threads,
               << " <ckpt...>`\n";
     return 0;
   }
-  if (!out_dir.empty()) {
-    const std::string md = out_dir + "/" + spec->name + ".md";
-    const std::string csv = out_dir + "/" + spec->name + ".csv";
-    if (!write_file(md, sweep::sweep_markdown(*result)) ||
-        !write_file(csv, sweep::sweep_csv(*result))) {
-      std::cerr << "explsim: cannot write reports under '" << out_dir
-                << "'\n";
-      return 1;
-    }
-    std::cout << "wrote " << md << " and " << csv << "\n";
-  }
-  return 0;
+  if (out_dir.empty()) return 0;
+  return write_reports(out_dir, spec->name, sweep::sweep_markdown(*result),
+                       sweep::sweep_csv(*result));
 }
 
 int cmd_sweep_merge(const std::string& operand,
@@ -494,20 +493,11 @@ int cmd_sweep_merge(const std::string& operand,
   std::cout << "merged " << checkpoints.size() << " checkpoint(s): "
             << result->records.size() << "/" << result->points.size()
             << " points of sweep " << spec->name << "\n";
-  if (!out_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(out_dir, ec);
-    const std::string md = out_dir + "/" + spec->name + ".md";
-    const std::string csv = out_dir + "/" + spec->name + ".csv";
-    if (!write_file(md, sweep::sweep_markdown(*result)) ||
-        !write_file(csv, sweep::sweep_csv(*result))) {
-      std::cerr << "explsim: cannot write reports under '" << out_dir
-                << "'\n";
-      return 1;
-    }
-    std::cout << "wrote " << md << " and " << csv << "\n";
-  }
-  return 0;
+  if (out_dir.empty()) return 0;
+  std::error_code ec;
+  std::filesystem::create_directories(out_dir, ec);
+  return write_reports(out_dir, spec->name, sweep::sweep_markdown(*result),
+                       sweep::sweep_csv(*result));
 }
 
 /// Every shard checkpoint for `sweep_name` in `dir`, sorted: the
@@ -644,9 +634,10 @@ int main(int argc, char** argv) {
       const std::string value = arg.substr(std::strlen("--threads="));
       char* end = nullptr;
       const unsigned long parsed = std::strtoul(value.c_str(), &end, 10);
-      if (value.empty() || *end != '\0' || parsed == 0 || parsed > 256) {
+      if (value.empty() || *end != '\0' || parsed == 0 ||
+          parsed > kMaxThreads) {
         std::cerr << "explsim: bad --threads value '" << value
-                  << "' (want 1..256)\n";
+                  << "' (want 1.." << kMaxThreads << ")\n";
         return 2;
       }
       threads = static_cast<std::uint32_t>(parsed);
